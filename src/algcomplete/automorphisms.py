@@ -14,7 +14,6 @@ from .groups import (
     GroupHom,
     Subgroup,
     _Budget,
-    _exact_candidates,
     iter_hom_images,
     quotient,
 )
@@ -59,7 +58,7 @@ class AutomorphismGroup:
 
     @cached_property
     def _fingerprint_gens(self) -> tuple[int, ...]:
-        return self.base.generators if self.base.order > 1 else (0,)
+        return self.base.generators
 
     @cached_property
     def _index(self) -> dict:
@@ -104,30 +103,19 @@ class AutomorphismGroup:
 _AUT_CACHE: dict[FiniteGroup, AutomorphismGroup] = {}
 
 
-def automorphism_group(
-    G: FiniteGroup, budget: Optional[int] = None, carrier_cap: int = DEFAULT_ELEMENT_CAP
-) -> AutomorphismGroup:
+def automorphism_group(G: FiniteGroup, budget: Optional[int] = None) -> AutomorphismGroup:
     """Complete automorphism list via backtracking on generator images.
 
-    Candidates are constrained to elements of equal order; partial maps are
-    pruned by closure consistency and injectivity.
+    Generators range over elements of equal order; partial maps are pruned
+    by closure consistency and injectivity.
     """
     cached = _AUT_CACHE.get(G)
     if cached is not None:
         return cached
-    if G.order == 1:
-        aut = AutomorphismGroup(G, ((0,),), carrier_cap)
-        _AUT_CACHE[G] = aut
-        return aut
-    gens = G.generators
-    cands = [_exact_candidates(G, G.element_order(g)) for g in gens]
     b = _Budget(budget) if budget is not None else None
-    perms = []
-    for img in iter_hom_images(G, G, gens, cands, budget=b, injective=True):
-        perms.append(img)
-    perms.sort()
+    perms = sorted(iter_hom_images(G, G, budget=b, injective=True))
     assert perms[0] == tuple(range(G.order))
-    aut = AutomorphismGroup(G, tuple(perms), carrier_cap)
+    aut = AutomorphismGroup(G, tuple(perms))
     _AUT_CACHE[G] = aut
     return aut
 
@@ -136,8 +124,7 @@ def conjugation_morphism(G: FiniteGroup, aut: Optional[AutomorphismGroup] = None
     """c_G: G -> Aut(G) carrier, g -> (x -> g x g^-1); kernel is the center."""
     if aut is None:
         aut = automorphism_group(G)
-    images = tuple(aut.index_of_perm(G.conjugation_permutation(g)) for g in range(G.order))
-    return GroupHom(G, aut.carrier, images)
+    return GroupHom(G, aut.carrier, conjugation_indices(G, aut))
 
 
 def conjugation_indices(G: FiniteGroup, aut: AutomorphismGroup) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 from .errors import AlgebraError, ConfigInvalid
-from .groups import FiniteGroup, direct_product, is_isomorphic
+from .groups import FiniteGroup, direct_product
 from .catalog import alternating, build_catalog, cyclic, resolve_catalog, symmetric
 from .completeness import (
     classify_completeness,
@@ -35,6 +35,17 @@ def _env(name: str, default=None):
     return os.environ.get(f"ALGC_{name}", default)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts; also applied to string defaults from ALGC_*."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="algcomplete",
@@ -44,14 +55,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="catalog JSON path, or 'builtin' for all groups of order <= 24")
     p.add_argument("--mode", default=_env("MODE", "classify"),
                    choices=["classify", "audit", "oracle-crosscheck", "paper-examples"])
-    p.add_argument("--bound", type=int, default=int(_env("BOUND", 0)) or None,
+    p.add_argument("--bound", type=_positive_int, default=_env("BOUND"),
                    help="cokernel/universe bound; default 2*|G| per group")
     p.add_argument("--universe", default=_env("UNIVERSE", None),
                    help="universe JSON path for the oracles; default: the catalog itself")
-    p.add_argument("--budget", type=int, default=int(_env("BUDGET", 0)) or None,
-                   help="search node budget per backtracking run")
+    p.add_argument("--budget", type=_positive_int, default=_env("BUDGET"),
+                   help="search node budget, shared by the section search of each "
+                        "classification or by all retraction searches of one oracle "
+                        "call; automorphism and action enumeration are not covered")
     p.add_argument("--out", default=_env("OUT", None), help="report file; default stdout")
-    p.add_argument("--jobs", type=int, default=int(_env("JOBS", 1)))
+    p.add_argument("--jobs", type=_positive_int, default=_env("JOBS", "1"))
     return p
 
 

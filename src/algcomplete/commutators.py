@@ -71,22 +71,14 @@ def find_retraction(
 ) -> Optional[GroupHom]:
     """Some hom r: G -> S_as_group with r|S = id, or a verified None.
 
-    Reuses the constrained hom search: generators of S get forced images,
-    the remaining generators of G range over order-compatible elements.
+    Reuses the constrained hom search: elements of S are forced to
+    themselves, the remaining generators of G range over all of S.
     """
     H, incl = S.as_group()
     local = {e: i for i, e in enumerate(S.elements)}
-    sgens = [S.elements[g] for g in H.generators] if H.order > 1 else []
-    gens = list(greedy_generators(G, seed=sgens))
-    cands = []
-    for g in gens:
-        if g in local:
-            cands.append([local[g]])
-        else:
-            o = G.element_order(g)
-            cands.append([h for h in range(H.order) if o % H.element_order(h) == 0])
+    gens = greedy_generators(G, seed=[incl(g) for g in H.generators])
     b = _Budget(budget) if budget is not None else None
-    found = find_constrained_hom(G, H, gens, cands, budget=b, limit=1)
+    found = find_constrained_hom(G, H, gens, {e: [i] for e, i in local.items()}, budget=b)
     if not found:
         return None
     img = found[0]

@@ -33,14 +33,12 @@ from .groups import (
 )
 from .commutators import center, is_characteristic
 from .automorphisms import (
-    AutomorphismGroup,
     automorphism_group,
     conjugation_indices,
     conjugation_morphism,
     inner_subgroup,
 )
 from .extensions import (
-    GroupAction,
     SplitExtension,
     enumerate_normal_embeddings,
     iter_actions,
@@ -57,34 +55,18 @@ def _kernel_retractions(e: SplitExtension, budget: Optional[_Budget], limit: int
     kappa(gens of X) + beta(gens of B) generate A, so no generator search
     over the (large) middle group is ever needed.
     """
-    A, X = e.A, e.X
-    forced = {e.kappa(x): x for x in range(X.order)}
+    X = e.X
+    forced = {e.kappa(x): [x] for x in range(X.order)}
     gens = [e.kappa(x) for x in X.generators] + [e.beta(b) for b in e.B.generators]
-    if not gens:
-        gens = [0]
-    cands = []
-    for g in gens:
-        if g in forced:
-            cands.append([forced[g]])
-        else:
-            o = A.element_order(g)
-            cands.append([x for x in range(X.order) if o % X.element_order(x) == 0])
-    return find_constrained_hom(A, X, gens, cands, budget=budget, limit=limit)
+    return find_constrained_hom(e.A, X, gens, forced, budget=budget, limit=limit)
 
 
 def _embedding_retraction(Y: FiniteGroup, h: GroupHom, budget: Optional[_Budget]):
     """A retraction r: Y -> X of the embedding h, or None."""
     X = h.domain
-    forced = {h(x): x for x in range(X.order)}
+    forced = {h(x): [x] for x in range(X.order)}
     gens = greedy_generators(Y, seed=[h(x) for x in X.generators])
-    cands = []
-    for g in gens:
-        if g in forced:
-            cands.append([forced[g]])
-        else:
-            o = Y.element_order(g)
-            cands.append([x for x in range(X.order) if o % X.element_order(x) == 0])
-    found = find_constrained_hom(Y, X, gens, cands, budget=budget, limit=1)
+    found = find_constrained_hom(Y, X, gens, forced, budget=budget)
     return found[0] if found else None
 
 
@@ -100,6 +82,8 @@ class OracleVerdict:
     bound: int
     universe_id: str
     witness: Optional[dict] = None
+    # the middle group of a failing split extension; never reported
+    middle: Optional[FiniteGroup] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -140,10 +124,8 @@ def classify_completeness(
         fibers = {}
         for g, a in enumerate(cidx):
             fibers.setdefault(a, []).append(g)
-        gens = carrier.generators if carrier.order > 1 else (0,)
-        cands = [fibers[a] for a in gens] if carrier.order > 1 else [[0]]
-        b = _Budget(budget if budget is not None else DEFAULT_SEARCH_BUDGET)
-        found = find_constrained_hom(carrier, G, gens, cands, budget=b, limit=1)
+        b = _Budget(budget) if budget is not None else None
+        found = find_constrained_hom(carrier, G, allowed=fibers, budget=b)
         if found:
             img = found[0]
             assert all(cidx[img[a]] == a for a in range(carrier.order))
@@ -210,11 +192,11 @@ def oracle_completeness(
                 if not found:
                     w = _action_witness(e)
                     w["failure"] = "no retraction"
-                    return OracleVerdict(mode, False, bound, universe_id, w)
+                    return OracleVerdict(mode, False, bound, universe_id, w, e.A)
                 if mode == "strong" and len(found) > 1:
                     w = _action_witness(e)
                     w["failure"] = "retraction not unique"
-                    return OracleVerdict(mode, False, bound, universe_id, w)
+                    return OracleVerdict(mode, False, bound, universe_id, w, e.A)
         return OracleVerdict(mode, True, bound, universe_id, None)
     members = [Y for Y in universe if Y.order <= bound * G.order]
     for Y, h in enumerate_normal_embeddings(G, members):
@@ -245,13 +227,11 @@ def decompose_proto_complete(
         raise NotProtoComplete(rep.name)
     Z = center(G)
     Q, proj = quotient(G, Z)
-    b = _Budget(budget if budget is not None else DEFAULT_SEARCH_BUDGET)
+    b = _Budget(budget) if budget is not None else None
     fibers = {}
     for g in range(G.order):
         fibers.setdefault(proj(g), []).append(g)
-    gens = Q.generators if Q.order > 1 else (0,)
-    cands = [fibers[q] for q in gens] if Q.order > 1 else [[0]]
-    found = find_constrained_hom(Q, G, gens, cands, budget=b, limit=1)
+    found = find_constrained_hom(Q, G, allowed=fibers, budget=b)
     assert found, "proto-complete group must split over its center"
     s = GroupHom(Q, G, found[0])
     assert all(proj(s(q)) == q for q in range(Q.order))
@@ -335,14 +315,8 @@ def implication_audit(
     op = oracle_completeness(G, "proto", bound, universe, universe_id, budget, cap)
     os_ = oracle_completeness(G, "strong", bound, universe, universe_id, budget, cap)
     extra: list[FiniteGroup] = []
-    if not op.flag and op.witness is not None:
-        for B in universe:
-            if B.order > bound:
-                continue
-            if (B.name or f"order-{B.order}") == op.witness["cokernel"]:
-                a = GroupAction(B, G, automorphism_group(G), tuple(op.witness["action"]))
-                extra.append(semidirect_product(a, cap=cap).A)
-                break
+    if op.middle is not None:
+        extra.append(op.middle)
     if rep.center_order == 1:
         aut = automorphism_group(G)
         if aut.order <= aut.carrier_cap:

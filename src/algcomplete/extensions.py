@@ -8,16 +8,13 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import SizeCap
+from .errors import SearchBudgetExceeded, SizeCap
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     DEFAULT_SEARCH_BUDGET,
     FiniteGroup,
     GroupHom,
-    Subgroup,
     _Budget,
-    _divisor_candidates,
-    _exact_candidates,
     iter_hom_images,
 )
 from .automorphisms import AutomorphismGroup, automorphism_group, conjugation_indices
@@ -67,13 +64,8 @@ def iter_actions(
 ) -> Iterator[GroupAction]:
     """All actions of B on X, lazily, in canonical order."""
     aut = automorphism_group(X)
-    if B.order == 1:
-        yield GroupAction(B, X, aut, (0,))
-        return
-    gens = B.generators
-    cands = [_divisor_candidates(aut, B.element_order(g)) for g in gens]
-    b = _Budget(budget if budget is not None else DEFAULT_SEARCH_BUDGET)
-    for img in iter_hom_images(B, aut, gens, cands, b):
+    b = _Budget(budget) if budget is not None else None
+    for img in iter_hom_images(B, aut, budget=b):
         yield GroupAction(B, X, aut, img)
 
 
@@ -206,20 +198,9 @@ def classify_into_generic(
     if verify_unique:
         count = 0
         gens = [e.kappa(x) for x in X.generators] + [e.beta(b) for b in B.generators]
-        if not gens:
-            gens = [0]
-        forced = {e.kappa(x): hol.kappa(x) for x in range(m)}
-        cands = []
-        for g in gens:
-            if g in forced:
-                cands.append([forced[g]])
-            else:
-                o = A.element_order(g)
-                cands.append(
-                    [h for h in range(hol.A.order) if o % hol.A.element_order(h) == 0]
-                )
-        b = _Budget(budget if budget is not None else DEFAULT_SEARCH_BUDGET)
-        for img in iter_hom_images(A, hol.A, gens, cands, b):
+        forced = {e.kappa(x): [hol.kappa(x)] for x in range(m)}
+        b = _Budget(budget) if budget is not None else None
+        for img in iter_hom_images(A, hol.A, gens, forced, b):
             up = GroupHom(A, hol.A, img)
             vp = tuple(hol.alpha(up(e.beta(bb))) for bb in range(B.order))
             if all(hol.alpha(up(a)) == vp[e.alpha(a)] for a in range(A.order)) and all(
@@ -260,11 +241,7 @@ def enumerate_normal_embeddings(
         seen = set()
         seen_raw = set()
         aut_perms = None
-        gens = X.generators if X.order > 1 else (0,)
-        cands = [_exact_candidates(Y, X.element_order(g)) for g in gens]
-        if X.order == 1:
-            cands = [[0]]
-        for img in iter_hom_images(X, Y, gens, cands, b, injective=True):
+        for img in iter_hom_images(X, Y, budget=b, injective=True):
             image_set = frozenset(img)
             if image_set in seen_raw:
                 continue
@@ -275,7 +252,7 @@ def enumerate_normal_embeddings(
             if aut_perms is None:
                 try:
                     aut_perms = automorphism_group(Y).elems
-                except Exception:
+                except SearchBudgetExceeded:
                     aut_perms = ()
                 if len(aut_perms) > dedup_aut_cap:
                     aut_perms = ()

@@ -8,9 +8,9 @@ are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -418,17 +418,20 @@ def _level_schedules(G: FiniteGroup, gens: Sequence[int]):
 def iter_hom_images(
     G: FiniteGroup,
     cod,
-    gens: Sequence[int],
-    candidates: Sequence[Sequence[int]],
+    gens: Optional[Sequence[int]] = None,
+    allowed: Optional[Mapping[int, Sequence[int]]] = None,
     budget: Optional[_Budget] = None,
     injective: bool = False,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield the full image array of every hom G -> cod with gens[i] in candidates[i].
+    """Yield the full image array of every hom G -> cod determined by `gens`.
 
-    Output order is lexicographic on the generator image tuple (candidate
-    lists are iterated as given; pass them sorted for canonical order).
-    `cod` needs only the group-ops interface.  With `injective=True`,
-    branches producing repeated images are pruned.
+    `gens` defaults to G.generators.  Generator g ranges over allowed[g] in
+    the given order, or over all of `cod` when g has no entry; candidates
+    whose element order cannot match are dropped (with `injective=True` the
+    order must equal g's, otherwise divide it).  Output order is
+    lexicographic on the generator image tuple.  `cod` needs only the
+    group-ops interface.  With `injective=True`, branches producing repeated
+    images are pruned.
     """
     if budget is None:
         budget = _Budget(DEFAULT_SEARCH_BUDGET)
@@ -436,6 +439,17 @@ def iter_hom_images(
     if n == 1:
         yield (0,)
         return
+    if gens is None:
+        gens = G.generators
+    allowed = allowed or {}
+    candidates = []
+    for g in gens:
+        o = G.element_order(g)
+        pool = allowed.get(g, range(cod.order))
+        if injective:
+            candidates.append([h for h in pool if cod.element_order(h) == o])
+        else:
+            candidates.append([h for h in pool if o % cod.element_order(h) == 0])
     schedules = _level_schedules(G, gens)
     cod_mul = cod.mul
     k = len(gens)
@@ -470,56 +484,22 @@ def iter_hom_images(
     yield from rec(0, [])
 
 
-def _divisor_candidates(cod, gen_order: int) -> list[int]:
-    return [h for h in range(cod.order) if gen_order % cod.element_order(h) == 0]
-
-
-def _exact_candidates(cod, gen_order: int) -> list[int]:
-    return [h for h in range(cod.order) if cod.element_order(h) == gen_order]
-
-
-def iter_homs(
-    G: FiniteGroup,
-    H: FiniteGroup,
-    budget: Optional[int] = None,
-) -> Iterator[GroupHom]:
-    """Lazily yield all homomorphisms G -> H in canonical (lex) order."""
-    if G.order == 1:
-        yield GroupHom(G, H, (0,))
-        return
-    gens = G.generators
-    cands = [_divisor_candidates(H, G.element_order(g)) for g in gens]
-    b = _Budget(budget if budget is not None else DEFAULT_SEARCH_BUDGET)
-    for img in iter_hom_images(G, H, gens, cands, b):
-        yield GroupHom(G, H, img)
-
-
 def enumerate_homs(G: FiniteGroup, H: FiniteGroup, budget: Optional[int] = None) -> list[GroupHom]:
-    """Complete list of homomorphisms G -> H, deterministic order.
-
-    Backtracks on images of a greedy generating set, pruning by element-order
-    divisibility and partial-closure consistency.
-    """
-    if G.order == 1:
-        return [GroupHom(G, H, (0,))]
-    return list(iter_homs(G, H, budget))
+    """Complete list of homomorphisms G -> H in canonical (lex) order."""
+    b = _Budget(budget) if budget is not None else None
+    return [GroupHom(G, H, img) for img in iter_hom_images(G, H, budget=b)]
 
 
 def find_constrained_hom(
     G: FiniteGroup,
     H,
-    gens: Sequence[int],
-    candidates: Sequence[Sequence[int]],
+    gens: Optional[Sequence[int]] = None,
+    allowed: Optional[Mapping[int, Sequence[int]]] = None,
     budget: Optional[_Budget] = None,
     limit: int = 1,
 ) -> list[tuple[int, ...]]:
-    """Up to `limit` hom image arrays with per-generator candidate lists."""
-    out = []
-    for img in iter_hom_images(G, H, gens, candidates, budget):
-        out.append(img)
-        if len(out) >= limit:
-            break
-    return out
+    """The first `limit` hom image arrays of `iter_hom_images`."""
+    return list(itertools.islice(iter_hom_images(G, H, gens, allowed, budget), limit))
 
 
 def is_isomorphic(
@@ -527,19 +507,15 @@ def is_isomorphic(
 ) -> Optional[GroupHom]:
     """Some isomorphism G -> H, or None (a verified-none verdict).
 
-    Backtracking with order-profile pruning; candidates for each generator
-    are restricted to elements of the exact same order.
+    Backtracking with order-profile pruning; each generator ranges over the
+    elements of H of its exact order.
     """
     if G.order != H.order or G.order_profile != H.order_profile:
         return None
     if G.is_abelian != H.is_abelian:
         return None
-    if G.order == 1:
-        return GroupHom(G, H, (0,))
-    gens = G.generators
-    cands = [_exact_candidates(H, G.element_order(g)) for g in gens]
-    b = _Budget(budget if budget is not None else DEFAULT_SEARCH_BUDGET)
-    for img in iter_hom_images(G, H, gens, cands, b, injective=True):
+    b = _Budget(budget) if budget is not None else None
+    for img in iter_hom_images(G, H, budget=b, injective=True):
         return GroupHom(G, H, img)
     return None
 
@@ -673,36 +649,3 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     proj = GroupHom(G, Q, tuple(relabel[coset_of[x]] for x in range(G.order)))
     return Q, proj
 
-
-def brute_force_homs(G: FiniteGroup, H: FiniteGroup) -> set[tuple[int, ...]]:
-    """Independent oracle: filter every |H|^|gens| generator assignment.
-
-    Only for tiny inputs; used by tests to validate enumerate_homs.
-    """
-    gens = G.generators
-    out = set()
-    for assignment in itertools.product(range(H.order), repeat=len(gens)):
-        img = _extend_assignment(G, H, gens, assignment)
-        if img is not None:
-            out.add(img)
-    return out
-
-
-def _extend_assignment(G, H, gens, assignment):
-    img = [-1] * G.order
-    img[0] = 0
-    queue = [0]
-    seen = {0}
-    while queue:
-        x = queue.pop(0)
-        for pos, g in enumerate(gens):
-            y = G.table[x][g]
-            v = H.table[img[x]][assignment[pos]]
-            if y in seen:
-                if img[y] != v:
-                    return None
-            else:
-                seen.add(y)
-                img[y] = v
-                queue.append(y)
-    return tuple(img)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from algcomplete.cli import run_report
 
 
@@ -103,10 +105,44 @@ def test_missing_catalog_is_config_error(tmp_path):
     assert run_report(["--catalog", str(tmp_path / "nope.json")]) == 2
 
 
-def test_console_script_entry():
+@pytest.mark.parametrize("flag, value", [
+    ("--bound", "0"), ("--bound", "abc"), ("--budget", "0"), ("--budget", "-5"),
+    ("--jobs", "0"), ("--jobs", "x"),
+])
+def test_bad_numeric_flag_is_usage_error(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_report(["--mode", "classify", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["BOUND", "BUDGET", "JOBS"])
+def test_bad_numeric_env_is_usage_error(name, monkeypatch, capsys):
+    monkeypatch.setenv(f"ALGC_{name}", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run_report(["--mode", "classify"])
+    assert exc.value.code == 2
+    assert "not an integer" in capsys.readouterr().err
+
+
+def test_numeric_env_defaults_are_parsed(tmp_path, monkeypatch):
+    path = write_catalog(tmp_path, [{"name": "Z2", "cyclic": 2}])
+    out = tmp_path / "r.json"
+    monkeypatch.setenv("ALGC_BOUND", "3")
+    monkeypatch.setenv("ALGC_JOBS", "2")
+    rc = run_report(["--catalog", path, "--mode", "oracle-crosscheck", "--out", str(out)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    assert report["bound"] == 3 and report["objects"][0]["bound"] == 3
+
+
+@pytest.mark.parametrize("module", ["algcomplete", "algcomplete.cli"])
+def test_console_script_entry(module):
     proc = subprocess.run(
-        [sys.executable, "-m", "algcomplete.cli", "--mode", "paper-examples"],
+        [sys.executable, "-m", module, "--mode", "paper-examples"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["failed"] is False
+    if module == "algcomplete":
+        assert proc.stderr == ""

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algcomplete.catalog import cyclic, dicyclic, dihedral, symmetric
+from algcomplete import completeness
+from algcomplete.catalog import alternating, cyclic, dicyclic, dihedral, symmetric
 from algcomplete.commutators import center
 from algcomplete.errors import (
     AbelianInput,
@@ -9,7 +10,13 @@ from algcomplete.errors import (
     NotCharacteristicallySimple,
     NotProtoComplete,
 )
-from algcomplete.groups import direct_product, is_isomorphic, normal_subgroups
+from algcomplete.groups import (
+    FiniteGroup,
+    direct_product,
+    is_isomorphic,
+    normal_subgroups,
+    validate_table,
+)
 from algcomplete.automorphisms import automorphism_group
 from algcomplete.completeness import (
     centerless_char_criterion,
@@ -142,6 +149,28 @@ def test_implication_audit_consistency(Z2, S3, Z4):
         assert aud.violations == ()
     audZ2 = implication_audit(Z2, 4, uni, "small")
     assert audZ2.oracle_proto.flag and not audZ2.oracle_complete.flag
+
+
+def test_implication_audit_witness_with_unnamed_cokernels(monkeypatch):
+    # A4 and Z12 both print as "order-12"; Z12's action on Z3 refutes proto
+    A4 = FiniteGroup(alternating(4).table)
+    Z12 = FiniteGroup(cyclic(12).table)
+    real = completeness.oracle_completeness
+    checked = []
+
+    def checking(G, mode, bound, universe, *args):
+        if mode == "complete":
+            for Y in universe:
+                validate_table(Y.table)
+            checked.extend(universe)
+        return real(G, mode, bound, universe, *args)
+
+    monkeypatch.setattr(completeness, "oracle_completeness", checking)
+    aud = implication_audit(cyclic(3), 12, [A4, Z12])
+    assert not aud.oracle_proto.flag
+    assert aud.oracle_proto.witness["cokernel"] == "order-12"
+    assert [Y.order for Y in checked] == [12, 12, 36]
+    assert aud.violations == ()
 
 
 @settings(max_examples=10, deadline=None)

@@ -147,3 +147,23 @@ def test_semidirect_order_multiplies(pair):
     X, B = cyclic(m), cyclic(n)
     for a in iter_actions(B, X):
         assert semidirect_product(a).A.order == m * n
+
+
+def test_normal_embeddings_dedup_falls_back_only_on_budget(monkeypatch, Z2, V4):
+    from algcomplete import extensions
+    from algcomplete.errors import SearchBudgetExceeded
+
+    assert len(enumerate_normal_embeddings(Z2, [V4])) == 1
+
+    def exhausted(G):
+        raise SearchBudgetExceeded("hom search node budget exhausted")
+
+    monkeypatch.setattr(extensions, "automorphism_group", exhausted)
+    assert len(enumerate_normal_embeddings(Z2, [V4])) == 3
+
+    def broken(G):
+        raise RuntimeError("bug in the automorphism search")
+
+    monkeypatch.setattr(extensions, "automorphism_group", broken)
+    with pytest.raises(RuntimeError):
+        enumerate_normal_embeddings(Z2, [V4])

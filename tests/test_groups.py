@@ -10,9 +10,9 @@ from algcomplete.groups import (
     GroupHom,
     Subgroup,
     all_subgroups,
-    brute_force_homs,
     direct_product,
     enumerate_homs,
+    find_constrained_hom,
     group_from_permutations,
     is_isomorphic,
     load_group,
@@ -95,6 +95,37 @@ def test_direct_product_projections(Z2, Z3):
     assert is_isomorphic(P, cyclic(6)) is not None
 
 
+def brute_force_homs(G, H, gens=None):
+    """Independent reference: filter every |H|^|gens| generator assignment."""
+    gens = G.generators if gens is None else gens
+    out = set()
+    for assignment in itertools.product(range(H.order), repeat=len(gens)):
+        img = _extend_assignment(G, H, gens, assignment)
+        if img is not None:
+            out.add(img)
+    return out
+
+
+def _extend_assignment(G, H, gens, assignment):
+    img = [-1] * G.order
+    img[0] = 0
+    queue = [0]
+    seen = {0}
+    while queue:
+        x = queue.pop(0)
+        for pos, g in enumerate(gens):
+            y = G.table[x][g]
+            v = H.table[img[x]][assignment[pos]]
+            if y in seen:
+                if img[y] != v:
+                    return None
+            else:
+                seen.add(y)
+                img[y] = v
+                queue.append(y)
+    return tuple(img)
+
+
 def test_hom_enumeration_matches_brute_force(Z4, S3):
     for G, H in [(Z4, S3), (S3, Z4), (S3, S3)]:
         fast = {h.image for h in enumerate_homs(G, H)}
@@ -156,3 +187,55 @@ def test_homs_compose(G):
         for k in enumerate_homs(H, H)[:4]:
             kh = k.compose(h)
             assert all(kh(x) == k(h(x)) for x in range(G.order))
+
+
+def _constrained_cases():
+    """(G, H, gens, allowed) for small pairs, with each shape of constraint."""
+    S3, Z4, Z6, V4 = symmetric(3), cyclic(4), cyclic(6), dihedral(2)
+    P, (_, p2), (i1, i2) = direct_product(cyclic(2), S3)
+    # retraction-shaped: the factor S3 of Z2 x S3 is forced to itself
+    retraction = {i2(x): [x] for x in range(S3.order)}
+    retraction_gens = [i2(x) for x in S3.generators] + [i1(1)]
+    # fibre-shaped: each generator of S3 ranges over its fibre under p2
+    fibres = {}
+    for g in range(P.order):
+        fibres.setdefault(p2(g), []).append(g)
+    # fibres listed in descending order, so the given order is not the index order
+    reversed_fibres = {k: v[::-1] for k, v in fibres.items()}
+    return [
+        (S3, S3, None, None),
+        (Z6, S3, None, None),
+        (S3, Z4, None, None),
+        (V4, S3, None, {1: [1, 2, 3, 4, 5]}),
+        (P, S3, retraction_gens, retraction),
+        (S3, P, None, fibres),
+        (S3, P, None, reversed_fibres),
+    ]
+
+
+@pytest.mark.parametrize(
+    "G, H, gens, allowed", _constrained_cases(),
+    ids=["S3-S3", "Z6-S3", "S3-Z4", "V4-S3-restricted", "retraction", "fibres",
+         "reversed-fibres"],
+)
+def test_constrained_search_matches_brute_force(G, H, gens, allowed):
+    gens = G.generators if gens is None else tuple(gens)
+    pools = [(allowed or {}).get(g, range(H.order)) for g in gens]
+    expected = {
+        img for img in brute_force_homs(G, H, gens)
+        if all(img[g] in pool for g, pool in zip(gens, pools))
+    }
+    found = find_constrained_hom(G, H, gens, allowed, limit=10**9)
+    assert len(found) == len(expected) and set(found) == expected
+    if expected:
+        # least generator image tuple, each image ranked by its place in the pool
+        rank = [{h: i for i, h in enumerate(pool)} for pool in pools]
+        assert found[0] == min(
+            expected, key=lambda img: [r[img[g]] for r, g in zip(rank, gens)]
+        )
+
+
+def test_trivial_domain_has_one_hom(Z3):
+    trivial = cyclic(1)
+    assert [h.image for h in enumerate_homs(trivial, Z3)] == [(0,)]
+    assert find_constrained_hom(trivial, Z3, limit=5) == [(0,)]
