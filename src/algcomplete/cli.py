@@ -14,9 +14,10 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Optional, Sequence
 
-from .errors import AlgebraError, ConfigInvalid
+from .errors import AlgebraError, ConfigInvalid, SearchBudgetExceeded
 from .groups import FiniteGroup, direct_product
 from .catalog import alternating, build_catalog, cyclic, resolve_catalog, symmetric
 from .completeness import (
@@ -24,6 +25,7 @@ from .completeness import (
     char_simple_audit,
     implication_audit,
     oracle_completeness,
+    split_extension_oracles,
 )
 from .rings import ring_classify, ring_zn, subring, zero_ring
 from .lie import lie_classify, sl2
@@ -61,8 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="universe JSON path for the oracles; default: the catalog itself")
     p.add_argument("--budget", type=_positive_int, default=_env("BUDGET"),
                    help="search node budget, shared by the section search of each "
-                        "classification or by all retraction searches of one oracle "
-                        "call; automorphism and action enumeration are not covered")
+                        "classification, by all retraction searches of one split-extension "
+                        "pass (which gives a row's proto and strong verdicts together) or "
+                        "by those of one complete oracle; automorphism and action "
+                        "enumeration are not covered")
     p.add_argument("--out", default=_env("OUT", None), help="report file; default stdout")
     p.add_argument("--jobs", type=_positive_int, default=_env("JOBS", "1"))
     return p
@@ -120,8 +124,7 @@ def _job_crosscheck(args) -> dict:
     G, (bound, universe), budget = args
     b = bound if bound is not None else 2 * G.order
     rep = classify_completeness(G, budget=budget)
-    op = oracle_completeness(G, "proto", b, universe, "universe", budget)
-    os_ = oracle_completeness(G, "strong", b, universe, "universe", budget)
+    op, os_ = split_extension_oracles(G, b, universe, "universe", budget)
     return {
         "name": rep.name,
         "bound": b,
@@ -149,9 +152,18 @@ def _job_audit(args) -> dict:
 _JOBS = {"classify": _job_classify, "oracle-crosscheck": _job_crosscheck, "audit": _job_audit}
 
 
+def _naming_group(job, args) -> dict:
+    """job(args), with the group's name put before a budget-exhaustion message."""
+    try:
+        return job(args)
+    except SearchBudgetExceeded as exc:
+        G = args[0]
+        raise SearchBudgetExceeded(f"{G.name or f'group-of-order-{G.order}'}: {exc}") from None
+
+
 def _run_groups(mode: str, catalog, extra, budget, jobs: int) -> list[dict]:
     work = [(G, extra, budget) for G in catalog]
-    fn = _JOBS[mode]
+    fn = partial(_naming_group, _JOBS[mode])
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, work))

@@ -124,7 +124,7 @@ def classify_completeness(
         fibers = {}
         for g, a in enumerate(cidx):
             fibers.setdefault(a, []).append(g)
-        b = _Budget(budget) if budget is not None else None
+        b = _Budget(budget if budget is not None else DEFAULT_SEARCH_BUDGET, "section search")
         found = find_constrained_hom(carrier, G, allowed=fibers, budget=b)
         if found:
             img = found[0]
@@ -161,6 +161,47 @@ def _action_witness(e: SplitExtension) -> dict:
     }
 
 
+def split_extension_oracles(
+    G: FiniteGroup,
+    bound: int,
+    universe: Sequence[FiniteGroup],
+    universe_id: str = "universe",
+    budget: Optional[int] = None,
+    cap: int = DEFAULT_ELEMENT_CAP,
+) -> tuple[OracleVerdict, OracleVerdict]:
+    """The proto and strong oracle verdicts from one pass over the split extensions.
+
+    Every split extension G -> A -> B with B in the universe (|B| <= bound)
+    is built once, in canonical order, and searched for up to two
+    retractions of its kernel while the strong verdict stands, for one after
+    that.  The first extension without a retraction refutes both verdicts
+    (the strong one unless a non-unique retraction refuted it earlier) and
+    ends the pass.  One budget covers every retraction search.
+    """
+    b = _Budget(budget if budget is not None else DEFAULT_SEARCH_BUDGET,
+                "split-extension oracles")
+    strong = None
+    for B in universe:
+        if B.order > bound or B.order * G.order > cap:
+            continue
+        for a in iter_actions(B, G):
+            e = semidirect_product(a, cap=cap)
+            found = _kernel_retractions(e, b, limit=1 if strong is not None else 2)
+            if not found:
+                w = _action_witness(e)
+                w["failure"] = "no retraction"
+                proto = OracleVerdict("proto", False, bound, universe_id, w, e.A)
+                if strong is None:
+                    strong = OracleVerdict("strong", False, bound, universe_id, dict(w), e.A)
+                return proto, strong
+            if strong is None and len(found) > 1:
+                w = _action_witness(e)
+                w["failure"] = "retraction not unique"
+                strong = OracleVerdict("strong", False, bound, universe_id, w, e.A)
+    proto = OracleVerdict("proto", True, bound, universe_id, None)
+    return proto, strong or OracleVerdict("strong", True, bound, universe_id, None)
+
+
 def oracle_completeness(
     G: FiniteGroup,
     mode: str,
@@ -174,30 +215,18 @@ def oracle_completeness(
 
     proto: every split extension with kernel G and cokernel in the universe
     (|B| <= bound) admits a retraction of its kernel.  strong: the
-    retraction is additionally unique.  complete: every normal embedding of
-    G into a universe member with |Y| <= bound*|G| splits.  The witness, if
-    any, is the first failure in canonical enumeration order.
+    retraction is additionally unique.  Both come from one
+    `split_extension_oracles` pass, so a proto call also runs the
+    uniqueness search.  complete: every normal embedding of G into a
+    universe member with |Y| <= bound*|G| splits.  The witness, if any, is
+    the first failure in canonical enumeration order.
     """
     if mode not in ("proto", "strong", "complete"):
         raise ValueError(f"unknown oracle mode: {mode}")
-    b = _Budget(budget if budget is not None else DEFAULT_SEARCH_BUDGET)
     if mode in ("proto", "strong"):
-        for B in universe:
-            if B.order > bound or B.order * G.order > cap:
-                continue
-            for a in iter_actions(B, G):
-                e = semidirect_product(a, cap=cap)
-                want = 1 if mode == "proto" else 2
-                found = _kernel_retractions(e, b, limit=want)
-                if not found:
-                    w = _action_witness(e)
-                    w["failure"] = "no retraction"
-                    return OracleVerdict(mode, False, bound, universe_id, w, e.A)
-                if mode == "strong" and len(found) > 1:
-                    w = _action_witness(e)
-                    w["failure"] = "retraction not unique"
-                    return OracleVerdict(mode, False, bound, universe_id, w, e.A)
-        return OracleVerdict(mode, True, bound, universe_id, None)
+        proto, strong = split_extension_oracles(G, bound, universe, universe_id, budget, cap)
+        return proto if mode == "proto" else strong
+    b = _Budget(budget if budget is not None else DEFAULT_SEARCH_BUDGET, "normal embeddings")
     members = [Y for Y in universe if Y.order <= bound * G.order]
     for Y, h in enumerate_normal_embeddings(G, members):
         if _embedding_retraction(Y, h, b) is None:
@@ -312,8 +341,7 @@ def implication_audit(
     "complete" pass would contradict a proto failure.
     """
     rep = classify_completeness(G, budget=budget)
-    op = oracle_completeness(G, "proto", bound, universe, universe_id, budget, cap)
-    os_ = oracle_completeness(G, "strong", bound, universe, universe_id, budget, cap)
+    op, os_ = split_extension_oracles(G, bound, universe, universe_id, budget, cap)
     extra: list[FiniteGroup] = []
     if op.middle is not None:
         extra.append(op.middle)

@@ -103,8 +103,9 @@ def semidirect_product(
     """B acting on X, carrier B x X with (b,x)(b',x') = (bb', a(b'^-1)(x) x').
 
     Element (b,x) is encoded as b*|X| + x, so kappa(x) = x and the identity
-    lands at index 0.  The table is assembled blockwise with numpy; the
-    convention makes conjugation by beta(b) realize the action on im(kappa).
+    lands at index 0.  The table is assembled blockwise with numpy, and that
+    array becomes the group's `np_table`; the convention makes conjugation by
+    beta(b) realize the action on im(kappa).
     """
     B, X = a.B, a.X
     nb, m = B.order, X.order
@@ -118,10 +119,9 @@ def semidirect_product(
     inner = xt[perms]  # shape (nb, m, m)
     bm = B.np_table * m  # shape (nb, nb)
     full = bm[:, None, :, None] + np.transpose(inner, (1, 0, 2))[None, :, :, :]
-    table = tuple(map(tuple, full.reshape(n, n).tolist()))
     if name is None and B.name and X.name:
         name = f"{X.name}:{B.name}" if not a.is_trivial else f"{X.name}x{B.name}"
-    A = FiniteGroup(table, name)
+    A = FiniteGroup.from_array(full.reshape(n, n), name)
     kappa = GroupHom(X, A, tuple(range(m)))
     alpha = GroupHom(A, B, tuple(i // m for i in range(n)))
     beta = GroupHom(B, A, tuple(b * m for b in range(nb)))
@@ -234,7 +234,7 @@ def enumerate_normal_embeddings(
     normal, so inner conjugacy never separates them anyway).
     """
     out = []
-    b = _Budget(budget if budget is not None else DEFAULT_SEARCH_BUDGET)
+    b = _Budget(budget if budget is not None else DEFAULT_SEARCH_BUDGET, "normal embeddings")
     for Y in universe:
         if Y.order % X.order != 0 or Y.order < X.order:
             continue

@@ -8,6 +8,7 @@ are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -73,6 +74,24 @@ class FiniteGroup:
         if validate:
             validate_table(tbl)
         return FiniteGroup(tbl, name)
+
+    @staticmethod
+    def from_array(t: np.ndarray, name: Optional[str] = None) -> "FiniteGroup":
+        """A group on the int64 Cayley table `t`, kept as its `np_table`.
+
+        The inverses are read off the array (the position of 0 in each row);
+        a row without the identity raises TableInvalid.  No other law is
+        checked: callers build `t` from groups they already trust.
+        """
+        is_id = t == 0
+        inv = is_id.argmax(axis=1)
+        missing = np.flatnonzero(~is_id[np.arange(len(t)), inv])
+        if missing.size:
+            raise TableInvalid("row has no inverse", (int(missing[0]),))
+        G = FiniteGroup(tuple(map(tuple, t.tolist())), name)
+        G.__dict__["np_table"] = t
+        G.__dict__["inverses"] = tuple(inv.tolist())
+        return G
 
     # -- basic structure ---------------------------------------------------
 
@@ -375,15 +394,19 @@ class GroupHom:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    """A node budget; `phase` names the search that spends it in the error."""
 
-    def __init__(self, n: int):
+    __slots__ = ("left", "phase")
+
+    def __init__(self, n: int, phase: Optional[str] = None):
         self.left = n
+        self.phase = phase
 
     def spend(self):
         self.left -= 1
         if self.left < 0:
-            raise SearchBudgetExceeded("hom search node budget exhausted")
+            msg = "hom search node budget exhausted"
+            raise SearchBudgetExceeded(f"{self.phase}: {msg}" if self.phase else msg)
 
 
 def _level_schedules(G: FiniteGroup, gens: Sequence[int]):
@@ -400,9 +423,9 @@ def _level_schedules(G: FiniteGroup, gens: Sequence[int]):
         active = gens[:k]
         sched = []
         known = {0}
-        queue = [0]
+        queue = deque([0])
         while queue:
-            x = queue.pop(0)
+            x = queue.popleft()
             for pos in range(k):
                 y = G.table[x][active[pos]]
                 if y in known:
@@ -607,12 +630,10 @@ def direct_product(
     n, m = G.order, H.order
     if n * m > cap:
         raise SizeCap(f"product order {n * m} exceeds cap {cap}")
-    gt = np.asarray(G.table, dtype=np.int64)
-    ht = np.asarray(H.table, dtype=np.int64)
-    t = np.kron(gt, np.ones((m, m), dtype=np.int64)) * m + np.tile(ht, (n, n))
+    t = np.kron(G.np_table, np.ones((m, m), dtype=np.int64)) * m + np.tile(H.np_table, (n, n))
     if name is None and G.name and H.name:
         name = f"{G.name}x{H.name}"
-    P = FiniteGroup(tuple(tuple(int(v) for v in row) for row in t), name)
+    P = FiniteGroup.from_array(t, name)
     p1 = GroupHom(P, G, tuple(i // m for i in range(n * m)))
     p2 = GroupHom(P, H, tuple(i % m for i in range(n * m)))
     i1 = GroupHom(G, P, tuple(g * m for g in range(n)))

@@ -136,6 +136,19 @@ def test_numeric_env_defaults_are_parsed(tmp_path, monkeypatch):
     assert report["bound"] == 3 and report["objects"][0]["bound"] == 3
 
 
+@pytest.mark.parametrize("group, phase", [
+    ({"name": "S3", "symmetric": 3}, "section search"),
+    ({"name": "Z3", "cyclic": 3}, "split-extension oracles"),
+])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_budget_exhaustion_names_group_and_phase(tmp_path, capsys, group, phase, jobs):
+    path = write_catalog(tmp_path, [group, {"name": "Z1", "cyclic": 1}])
+    rc = run_report(["--catalog", path, "--mode", "audit", "--budget", "1", "--jobs", jobs])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {group['name']}: {phase}: hom search node budget exhausted\n"
+
+
 @pytest.mark.parametrize("module", ["algcomplete", "algcomplete.cli"])
 def test_console_script_entry(module):
     proc = subprocess.run(
@@ -144,5 +157,4 @@ def test_console_script_entry(module):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["failed"] is False
-    if module == "algcomplete":
-        assert proc.stderr == ""
+    assert proc.stderr == ""

@@ -9,9 +9,13 @@ from algcomplete.errors import (
     CenterNonTrivial,
     NotCharacteristicallySimple,
     NotProtoComplete,
+    SearchBudgetExceeded,
 )
+from algcomplete.extensions import iter_actions, semidirect_product
 from algcomplete.groups import (
+    DEFAULT_SEARCH_BUDGET,
     FiniteGroup,
+    _Budget,
     direct_product,
     is_isomorphic,
     normal_subgroups,
@@ -26,6 +30,7 @@ from algcomplete.completeness import (
     implication_audit,
     one_step_check,
     oracle_completeness,
+    split_extension_oracles,
 )
 
 
@@ -86,6 +91,60 @@ def test_oracle_proto_refutes_z4(Z4):
     v = oracle_completeness(Z4, "proto", 8, small_universe(), "small")
     assert not v.flag
     assert v.witness["failure"] == "no retraction"
+
+
+def per_mode_oracle(G, mode, bound, universe, cap=512):
+    """Reference: one mode at a time, every split extension built afresh.
+
+    Returns (flag, witness, middle table or None).
+    """
+    b = _Budget(DEFAULT_SEARCH_BUDGET)
+    for B in universe:
+        if B.order > bound or B.order * G.order > cap:
+            continue
+        for a in iter_actions(B, G):
+            e = semidirect_product(a, cap=cap)
+            found = completeness._kernel_retractions(e, b, limit=1 if mode == "proto" else 2)
+            if found and (mode == "proto" or len(found) == 1):
+                continue
+            w = {
+                "kind": "split-extension",
+                "kernel": G.name or f"order-{G.order}",
+                "cokernel": B.name or f"order-{B.order}",
+                "action": list(a.indices),
+                "failure": "no retraction" if not found else "retraction not unique",
+            }
+            return False, w, e.A.table
+    return True, None, None
+
+
+def test_fused_oracles_match_per_mode_reference(catalog):
+    seen = {}
+    for G in (G for G in catalog if G.order <= 12):
+        pair = split_extension_oracles(G, 2 * G.order, catalog, "builtin")
+        for mode, v in zip(("proto", "strong"), pair):
+            flag, witness, middle = per_mode_oracle(G, mode, 2 * G.order, catalog)
+            assert (v.mode, v.bound, v.universe_id) == (mode, 2 * G.order, "builtin")
+            assert (v.flag, v.witness) == (flag, witness), (G.name, mode)
+            assert (v.middle.table if v.middle is not None else None) == middle
+        proto, strong = pair
+        if proto.witness is not None:
+            assert strong.witness is not None and strong.witness is not proto.witness
+        seen[G.name] = tuple((v.witness or {}).get("failure") for v in pair)
+    s3 = next(G.name for G in catalog if G.order == 6 and not G.is_abelian)
+    assert seen[s3] == (None, None)
+    assert seen["Z2"] == (None, "retraction not unique")
+    assert seen["Z4"] == ("no retraction", "retraction not unique")
+    assert seen["Z3"] == ("no retraction", "no retraction")
+
+
+def test_budget_exhaustion_names_the_phase(S3, Z2, Z4):
+    with pytest.raises(SearchBudgetExceeded, match="^split-extension oracles: "):
+        split_extension_oracles(Z2, 4, small_universe(), "small", budget=1)
+    with pytest.raises(SearchBudgetExceeded, match="^normal embeddings: "):
+        oracle_completeness(Z2, "complete", 2, [Z4], "just-Z4", budget=1)
+    with pytest.raises(SearchBudgetExceeded, match="^section search: "):
+        classify_completeness(S3, budget=1)
 
 
 def test_decompose_s3(S3):

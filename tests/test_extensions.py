@@ -1,13 +1,15 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from algcomplete.catalog import cyclic, dicyclic, dihedral, symmetric
 from algcomplete.commutators import find_retraction
 from algcomplete.errors import SizeCap
-from algcomplete.groups import Subgroup, is_isomorphic, normal_subgroups
+from algcomplete.groups import GroupHom, Subgroup, direct_product, is_isomorphic, normal_subgroups
 from algcomplete.automorphisms import automorphism_group
 from algcomplete.extensions import (
     GroupAction,
+    SplitExtension,
     classify_into_generic,
     enumerate_normal_embeddings,
     enumerate_split_extensions,
@@ -25,6 +27,24 @@ def test_invariants_of_semidirect(Z3, Z2):
         assert e.kappa.is_injective
         assert e.kappa.image_subgroup().is_normal()
         assert set(e.kappa.image) == set(e.alpha.kernel().elements)
+
+
+def test_array_built_groups_match_their_tuple_tables(Z3, Z2, V4):
+    groups = [e.A for X, B in [(Z3, Z2), (V4, Z3), (cyclic(7), cyclic(6))]
+              for e in enumerate_split_extensions(X, B)]
+    groups.append(direct_product(symmetric(3), Z2)[0])
+    assert len(groups) == 2 + 3 + 6 + 1
+    for A in groups:
+        assert A.np_table.dtype == np.int64
+        assert np.array_equal(A.np_table, np.asarray(A.table))
+        assert A.inverses == tuple(row.index(0) for row in A.table)
+
+
+def test_create_still_rejects_a_non_section(Z3, Z2):
+    e = enumerate_split_extensions(Z3, Z2)[1]
+    not_section = GroupHom(Z2, e.A, (0, 1))  # lands in im(kappa), so alpha(beta(1)) = 0
+    with pytest.raises(AssertionError, match="beta is not a section"):
+        SplitExtension.create(e.kappa, e.alpha, not_section, e.action)
 
 
 def test_z3_by_z2_gives_z6_and_s3(Z3, Z2, S3):
@@ -121,8 +141,6 @@ def test_product_form_for_split_kernel(Z2xS3, S3):
     S3g, incl = sub.as_group()
     e = enumerate_split_extensions(S3g, cyclic(2))[0]
     lam = find_retraction(e.A, Subgroup.create(e.A, e.kappa.image))
-    from algcomplete.groups import GroupHom
-
     r = GroupHom(e.A, e.X, tuple(lam.image))
     iso = product_form_isomorphism(e, r)
     assert iso.is_bijective

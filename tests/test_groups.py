@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +27,11 @@ from algcomplete.groups import (
 def test_validate_rejects_broken_identity():
     with pytest.raises(TableInvalid):
         validate_table([[1, 0], [0, 1]])
+
+
+def test_from_array_rejects_a_row_without_identity():
+    with pytest.raises(TableInvalid, match="row has no inverse"):
+        FiniteGroup.from_array(np.array([[0, 1, 2], [1, 2, 1], [2, 0, 1]]))
 
 
 def test_validate_rejects_nonassociative():
