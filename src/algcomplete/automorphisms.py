@@ -7,7 +7,9 @@ from functools import cached_property
 from math import lcm
 from typing import Optional
 
-from .errors import NotNormal, SizeCap
+import numpy as np
+
+from .errors import NotNormal, SizeCap, TableInvalid
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     FiniteGroup,
@@ -88,11 +90,35 @@ class AutomorphismGroup:
 
     @cached_property
     def carrier(self) -> FiniteGroup:
-        """Cayley table of Aut(base) under composition."""
+        """Cayley table of Aut(base) under composition.
+
+        Every product is composed at once on fingerprints (the images of the
+        base generators): entry (i, j) is f_i applied to f_j's fingerprint.
+        Fingerprints become indices one generator at a time: a prefix is
+        labelled by an element sharing it, through a dense lookup array on
+        (prefix label, next image).  A product whose fingerprint is not in
+        the list raises TableInvalid, since then the list is not a group.
+        """
         n = self.order
         if n > self.carrier_cap:
             raise SizeCap(f"automorphism group order {n} exceeds cap {self.carrier_cap}")
-        table = tuple(tuple(self.mul(i, j) for j in range(n)) for i in range(n))
+        size = self.base.order
+        perms = np.array(self.elems, dtype=np.intp)
+        fingerprints = perms[:, list(self._fingerprint_gens)]
+        composed = perms[:, fingerprints]  # composed[i, j] = f_i(fingerprint of f_j)
+        known = np.zeros(n, dtype=np.intp)  # label of each element's prefix
+        labels = np.zeros((n, n), dtype=np.intp)  # label of each product's prefix
+        for pos in range(fingerprints.shape[1]):
+            keys = known * size + fingerprints[:, pos]
+            lookup = np.full(n * size, -1, dtype=np.intp)
+            lookup[keys] = np.arange(n)
+            known = lookup[keys]
+            labels = lookup[labels * size + composed[:, :, pos]]
+            if labels.min() < 0:
+                bad = tuple(int(v) for v in np.argwhere(labels < 0)[0])
+                raise TableInvalid("automorphism list is not closed under composition", bad)
+        ints = list(range(n))  # one int object per label, shared by every row
+        table = tuple(tuple(map(ints.__getitem__, row.tolist())) for row in labels)
         name = f"Aut({self.base.name})" if self.base.name else None
         return FiniteGroup(table, name)
 
@@ -128,8 +154,17 @@ def conjugation_morphism(G: FiniteGroup, aut: Optional[AutomorphismGroup] = None
 
 
 def conjugation_indices(G: FiniteGroup, aut: AutomorphismGroup) -> tuple[int, ...]:
-    """Images of c_G as indices into aut.elems, without touching the carrier."""
-    return tuple(aut.index_of_perm(G.conjugation_permutation(g)) for g in range(G.order))
+    """Images of c_G as indices into aut.elems, without touching the carrier.
+
+    Only the fingerprint of each inner automorphism is computed: for each g,
+    g x g^-1 for the fingerprint generators x, one dict lookup per g.
+    """
+    t = G.table
+    gens = aut._fingerprint_gens
+    index = aut._index
+    return tuple(
+        index[tuple(t[row[x]][ig] for x in gens)] for row, ig in zip(t, G.inverses)
+    )
 
 
 def inner_subgroup(G: FiniteGroup, aut: Optional[AutomorphismGroup] = None) -> Subgroup:

@@ -35,7 +35,6 @@ from .commutators import center, is_characteristic
 from .automorphisms import (
     automorphism_group,
     conjugation_indices,
-    conjugation_morphism,
     inner_subgroup,
 )
 from .extensions import (
@@ -133,7 +132,7 @@ def classify_completeness(
     proto = section is not None
     strong = z.order == 1 and out_order == 1
     if strong:
-        c = conjugation_morphism(G, aut)
+        c = GroupHom(G, carrier, cidx)
         assert c.is_bijective, "trivial center and Out must make c an isomorphism"
         assert proto, "an isomorphism c is in particular a split epi"
     return ClassificationReport(

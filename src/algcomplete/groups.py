@@ -27,6 +27,24 @@ from .errors import (
 
 DEFAULT_ELEMENT_CAP = 512
 DEFAULT_SEARCH_BUDGET = 5_000_000
+ROW_BLOCK = 16  # rows of i per block when a law over triples is checked
+
+
+def first_mismatch(n: int, lhs, rhs) -> Optional[tuple[int, ...]]:
+    """The first index (i, j, k, ...) where the arrays lhs(rows) and rhs(rows) differ.
+
+    Both sides are evaluated on ROW_BLOCK rows of i at a time (`rows` is a
+    slice of range(n)), so a law over triples needs O(ROW_BLOCK * n^2)
+    memory, not O(n^3).  Blocks run in order of i, so the result is the first
+    mismatch in row-major order over the whole index range.
+    """
+    for start in range(0, n, ROW_BLOCK):
+        rows = slice(start, min(start + ROW_BLOCK, n))
+        a, b = lhs(rows), rhs(rows)
+        if not np.array_equal(a, b):
+            bad = np.argwhere(a != b)[0]
+            return (int(bad[0]) + start,) + tuple(int(x) for x in bad[1:])
+    return None
 
 
 def validate_table(table: Sequence[Sequence[int]]) -> None:
@@ -51,11 +69,9 @@ def validate_table(table: Sequence[Sequence[int]]) -> None:
             raise TableInvalid("column is not a permutation", (i,))
     # associativity via numpy: T[T[i,j],k] == T[i,T[j,k]]
     t = np.asarray(table, dtype=np.int64)
-    lhs = t[t, :]  # lhs[i,j,k] = T[T[i,j],k]
-    rhs = t[:, t]  # rhs[i,j,k] = T[i,T[j,k]]
-    if not np.array_equal(lhs, rhs):
-        bad = np.argwhere(lhs != rhs)[0]
-        raise TableInvalid("associativity fails", tuple(int(x) for x in bad))
+    bad = first_mismatch(n, lambda rows: t[t[rows]], lambda rows: t[rows][:, t])
+    if bad is not None:
+        raise TableInvalid("associativity fails", bad)
 
 
 @dataclass(frozen=True)
@@ -150,9 +166,6 @@ class FiniteGroup:
     @cached_property
     def generators(self) -> tuple[int, ...]:
         return greedy_generators(self)
-
-    def conjugation_permutation(self, g: int) -> tuple[int, ...]:
-        return tuple(self.conj(g, x) for x in range(self.order))
 
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and self.table == other.table
@@ -591,7 +604,10 @@ def group_from_permutations(
 ) -> FiniteGroup:
     """Closure of permutation generators under composition.
 
-    Elements are indexed in discovery order with the identity first.
+    Elements are indexed in discovery order with the identity first.  The
+    breadth-first closure records x * g for every element x and generator g;
+    the table is then built a column at a time from a * (x * g) = (a * x) * g,
+    one list lookup per entry instead of one permutation composition.
     """
     ident = tuple(range(degree))
     gens = []
@@ -600,24 +616,28 @@ def group_from_permutations(
         if sorted(p) != list(range(degree)):
             raise TableInvalid("generator is not a permutation", tuple(p))
         gens.append(p)
-    elems = [ident]
     index = {ident: 0}
-    queue = [ident]
+    queue = deque([ident])
+    right = [[] for _ in gens]  # right[pos][x] = x * gens[pos]
+    parents = []  # (x, pos) with y = x * gens[pos], for each y after the identity
     while queue:
-        x = queue.pop(0)
-        for g in gens:
+        x = queue.popleft()
+        ix = index[x]
+        for pos, g in enumerate(gens):
             y = tuple(x[g[i]] for i in range(degree))  # x after g
-            if y not in index:
-                if len(elems) >= cap:
+            iy = index.get(y)
+            if iy is None:
+                if len(index) >= cap:
                     raise ClosureTooLarge(f"closure exceeds element cap {cap}")
-                index[y] = len(elems)
-                elems.append(y)
+                iy = index[y] = len(index)
+                parents.append((ix, pos))
                 queue.append(y)
-    n = len(elems)
-    table = tuple(
-        tuple(index[tuple(a[b[i]] for i in range(degree))] for b in elems) for a in elems
-    )
-    return FiniteGroup(table, name)
+            right[pos].append(iy)
+    # column y = x * g of the table: a * y = (a * x) * g, one lookup per entry
+    cols = [list(index.values())]
+    for x, pos in parents:
+        cols.append(list(map(right[pos].__getitem__, cols[x])))
+    return FiniteGroup(tuple(zip(*cols)), name)
 
 
 def direct_product(

@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import TableInvalid
-from .groups import FiniteGroup, validate_table
+from .groups import FiniteGroup, first_mismatch, validate_table
 
 
 @dataclass(frozen=True)
@@ -39,15 +39,24 @@ class FiniteRing:
             raise TableInvalid("addition is not commutative")
         if M.min() < 0 or M.max() >= n:
             raise TableInvalid("multiplication entry out of range")
-        if not np.array_equal(M[M, :], M[:, M]):
-            bad = np.argwhere(M[M, :] != M[:, M])[0]
-            raise TableInvalid("multiplication not associative", tuple(int(v) for v in bad))
+        # one law after the other, each over ROW_BLOCK rows of i at a time
+        bad = first_mismatch(n, lambda rows: M[M[rows]], lambda rows: M[rows][:, M])
+        if bad is not None:
+            raise TableInvalid("multiplication not associative", bad)
         # left: i(j+k) = ij + ik; right: (i+j)k = ik + jk
-        if not np.array_equal(M[:, A], A[M[:, :, None], M[:, None, :]]):
+        left = first_mismatch(
+            n,
+            lambda rows: M[rows][:, A],
+            lambda rows: A[M[rows][:, :, None], M[rows][:, None, :]],
+        )
+        if left is not None:
             raise TableInvalid("left distributivity fails")
-        rhs = A[M[:, None, :], M[None, :, :]]  # rhs[i,j,k] = ik + jk
-        lhs = M[A, :]  # lhs[i,j,k] = (i+j)k
-        if not np.array_equal(lhs, rhs):
+        right = first_mismatch(
+            n,
+            lambda rows: M[A[rows]],  # (i+j)k
+            lambda rows: A[M[rows][:, None, :], M[None, :, :]],  # ik + jk
+        )
+        if right is not None:
             raise TableInvalid("right distributivity fails")
         return FiniteRing(at, mt, name)
 

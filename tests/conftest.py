@@ -9,6 +9,18 @@ def catalog():
     return build_catalog(24)
 
 
+def holomorph_generators(p: int) -> list[list[int]]:
+    """Hol(Z_p) on the points of Z_p: x -> x + 1 and x -> g x, g a primitive root."""
+    g = next(g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1)
+    return [[(x + 1) % p for x in range(p)], [(g * x) % p for x in range(p)]]
+
+
+@pytest.fixture(scope="session")
+def Hol17():
+    """Order 272 > 256, so table entries are not all small cached ints."""
+    return group_from_permutations(17, holomorph_generators(17), name="Hol(Z17)")
+
+
 @pytest.fixture(scope="session")
 def S3():
     return symmetric(3)

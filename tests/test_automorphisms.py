@@ -3,9 +3,13 @@ from hypothesis import given, settings, strategies as st
 
 from algcomplete.catalog import cyclic, dicyclic, dihedral, symmetric
 from algcomplete.commutators import center, centralizer
-from algcomplete.groups import Subgroup, is_isomorphic, normal_subgroups
+from algcomplete.completeness import classify_completeness
+from algcomplete.errors import TableInvalid
+from algcomplete.groups import FiniteGroup, Subgroup, is_isomorphic, normal_subgroups
 from algcomplete.automorphisms import (
+    AutomorphismGroup,
     automorphism_group,
+    conjugation_indices,
     conjugation_morphism,
     inner_subgroup,
     outer_quotient,
@@ -126,3 +130,63 @@ def test_conjugation_image_order(n):
     G = dihedral(n)
     inn = inner_subgroup(G)
     assert inn.order == G.order // center(G).order
+
+
+def reference_carrier_table(aut):
+    """Independent reference: one composition and one dict lookup per pair."""
+    return tuple(tuple(aut.mul(i, j) for j in range(aut.order)) for i in range(aut.order))
+
+
+def test_carrier_matches_reference(catalog, Hol17):
+    checked = 0
+    for G in catalog + (Hol17,):
+        aut = automorphism_group(G)
+        if aut.order > 512:
+            continue
+        assert aut.carrier.table == reference_carrier_table(aut), G.name
+        checked += 1
+    assert checked == len(catalog)  # every catalog group but Z2^4, plus Hol(Z17)
+
+
+def test_carrier_shares_its_int_objects(Hol17):
+    table = automorphism_group(Hol17).carrier.table
+    assert len(table) == Hol17.order
+    assert len({id(v) for row in table for v in row}) <= 2 * Hol17.order
+
+
+def test_carrier_of_a_list_missing_an_element_raises(S4):
+    aut = automorphism_group(S4)
+    broken = AutomorphismGroup(S4, aut.elems[:7] + aut.elems[8:])
+    with pytest.raises(TableInvalid, match="not closed under composition"):
+        broken.carrier
+
+
+def test_conjugation_indices_match_index_of_perm(catalog, Hol17):
+    for G in catalog + (Hol17,):
+        aut = automorphism_group(G)
+        expected = tuple(
+            aut.index_of_perm([G.conj(g, x) for x in range(G.order)]) for g in range(G.order)
+        )
+        assert conjugation_indices(G, aut) == expected, G.name
+
+
+def _relabel(G, rnd):
+    """G on shuffled labels, the identity kept at 0."""
+    new = [0] + rnd.sample(range(1, G.order), G.order - 1)  # old label i becomes new[i]
+    table = [[0] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            table[new[a]][new[b]] = new[G.table[a][b]]
+    return FiniteGroup.from_table(table, G.name)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.randoms(use_true_random=False))
+def test_relabelling_keeps_invariants_and_verdicts(catalog, data, rnd):
+    G = data.draw(st.sampled_from(catalog))
+    H = _relabel(G, rnd)
+    assert H.order_profile == G.order_profile
+    expected, got = classify_completeness(G), classify_completeness(H)
+    for field in ("center_order", "aut_order", "inn_order", "out_order",
+                  "proto_complete", "strong_complete"):
+        assert getattr(got, field) == getattr(expected, field), field

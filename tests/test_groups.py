@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algcomplete.catalog import cyclic, dihedral, symmetric
-from algcomplete.errors import NotASubgroup, TableInvalid
+from algcomplete.errors import ClosureTooLarge, NotASubgroup, TableInvalid
 from algcomplete.groups import (
     FiniteGroup,
     GroupHom,
@@ -22,6 +22,7 @@ from algcomplete.groups import (
     subgroup_closure,
     validate_table,
 )
+from conftest import holomorph_generators
 
 
 def test_validate_rejects_broken_identity():
@@ -34,15 +35,39 @@ def test_from_array_rejects_a_row_without_identity():
         FiniteGroup.from_array(np.array([[0, 1, 2], [1, 2, 1], [2, 0, 1]]))
 
 
+# a quasigroup table with identity 0 that is not a group
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
 def test_validate_rejects_nonassociative():
-    # a quasigroup table that is not a group
-    table = [[0, 1, 2, 3, 4],
-             [1, 0, 3, 4, 2],
-             [2, 4, 0, 1, 3],
-             [3, 2, 4, 0, 1],
-             [4, 3, 1, 2, 0]]
     with pytest.raises(TableInvalid):
+        validate_table(LOOP5)
+
+
+def _loop_with_nucleus_z16():
+    """Z16 x LOOP5, with (h, l) labelled 16 * l + h.
+
+    Z16 x {0} (labels 0..15) lies in the nucleus, so every associativity
+    failure has its first index in a row >= 16.
+    """
+    return [
+        [16 * LOOP5[a // 16][b // 16] + (a + b) % 16 for b in range(80)] for a in range(80)
+    ]
+
+
+def test_validate_witness_beyond_first_row_block():
+    table = _loop_with_nucleus_z16()
+    t = np.asarray(table)
+    reference = tuple(int(x) for x in np.argwhere(t[t, :] != t[:, t])[0])
+    assert reference[0] >= 16
+    with pytest.raises(TableInvalid) as err:
         validate_table(table)
+    assert err.value.reason == "associativity fails"
+    assert err.value.witness == reference
 
 
 def test_load_group_relabels_identity():
@@ -178,7 +203,7 @@ def test_group_axioms_hold(G):
 @given(small_groups(), st.data())
 def test_conjugation_is_automorphism(G, data):
     g = data.draw(st.integers(0, G.order - 1))
-    perm = G.conjugation_permutation(g)
+    perm = tuple(G.conj(g, x) for x in range(G.order))
     assert sorted(perm) == list(range(G.order))
     for x, y in itertools.product(range(G.order), repeat=2):
         assert perm[G.mul(x, y)] == G.mul(perm[x], perm[y])
@@ -245,3 +270,90 @@ def test_trivial_domain_has_one_hom(Z3):
     trivial = cyclic(1)
     assert [h.image for h in enumerate_homs(trivial, Z3)] == [(0,)]
     assert find_constrained_hom(trivial, Z3, limit=5) == [(0,)]
+
+
+def reference_group_from_permutations(degree, generators, cap=512):
+    """Independent reference: one permutation composition per pair of elements."""
+    ident = tuple(range(degree))
+    gens = [tuple(g) for g in generators]
+    elems = [ident]
+    index = {ident: 0}
+    queue = [ident]
+    while queue:
+        x = queue.pop(0)
+        for g in gens:
+            y = tuple(x[g[i]] for i in range(degree))
+            if y not in index:
+                if len(elems) >= cap:
+                    raise ClosureTooLarge(f"closure exceeds element cap {cap}")
+                index[y] = len(elems)
+                elems.append(y)
+                queue.append(y)
+    return tuple(
+        tuple(index[tuple(a[b[i]] for i in range(degree))] for b in elems) for a in elems
+    )
+
+
+@st.composite
+def permutation_generators(draw):
+    degree = draw(st.integers(1, 7))
+    return degree, draw(st.lists(st.permutations(range(degree)), max_size=3))
+
+
+def _expected_table(degree, gens):
+    try:
+        return reference_group_from_permutations(degree, gens)
+    except ClosureTooLarge:
+        return None
+
+
+@settings(max_examples=25, deadline=None)
+@given(permutation_generators())
+def test_permutation_closure_matches_reference(case):
+    degree, gens = case
+    expected = _expected_table(degree, gens)
+    if expected is None:
+        with pytest.raises(ClosureTooLarge):
+            group_from_permutations(degree, gens)
+    else:
+        assert group_from_permutations(degree, gens).table == expected
+
+
+@pytest.mark.parametrize(
+    "degree, gens",
+    [
+        (17, holomorph_generators(17)),
+        (23, holomorph_generators(23)),
+        (99, [[(x + 1) % 99 for x in range(99)], [(-x) % 99 for x in range(99)]]),
+    ],
+    ids=["Hol(Z17)", "Hol(Z23)", "D99"],
+)
+def test_large_permutation_closures_match_reference(degree, gens):
+    assert group_from_permutations(degree, gens).table == reference_group_from_permutations(
+        degree, gens
+    )
+
+
+def test_permutation_table_shares_its_int_objects(Hol17):
+    # one int object per element label, not one per table entry
+    assert len({id(v) for row in Hol17.table for v in row}) <= 2 * Hol17.order
+
+
+@settings(max_examples=25, deadline=None)
+@given(permutation_generators(), st.randoms(use_true_random=False))
+def test_conjugated_generators_give_the_same_table(case, rnd):
+    # renaming the points keeps every generator word, hence the BFS numbering
+    degree, gens = case
+    if _expected_table(degree, gens) is None:
+        return
+    s = list(range(degree))
+    rnd.shuffle(s)
+    renamed = []
+    for g in gens:
+        h = [0] * degree
+        for i in range(degree):
+            h[s[i]] = s[g[i]]
+        renamed.append(h)
+    assert group_from_permutations(degree, renamed).table == group_from_permutations(
+        degree, gens
+    ).table

@@ -1,3 +1,7 @@
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +29,34 @@ def test_create_rejects_bad_distributivity():
     bad_mul = [[1, 0], [0, 1]]  # 0*0=1 breaks absorption/distributivity
     with pytest.raises(TableInvalid):
         FiniteRing.create(add, bad_mul)
+
+
+def test_associativity_witness_beyond_first_row_block():
+    # rows 0..15 of the product are zero, so associativity holds for i < 16
+    n = 20
+    rnd = random.Random(5)
+    add = [[(i + j) % n for j in range(n)] for i in range(n)]
+    mul = [[0 if i < 16 else rnd.randrange(n) for j in range(n)] for i in range(n)]
+    M = np.asarray(mul)
+    reference = tuple(int(x) for x in np.argwhere(M[M, :] != M[:, M])[0])
+    assert reference[0] >= 16
+    with pytest.raises(TableInvalid) as err:
+        FiniteRing.create(add, mul)
+    assert err.value.reason == "multiplication not associative"
+    assert err.value.witness == reference
+
+
+def test_create_memory_stays_below_cubic():
+    # the unitalization of Z/12 has 144 elements: one int64 array of 144^3
+    # entries is 24 MiB, the row-blocked checks need a fraction of that
+    U = unitalization(ring_zn(12)).U
+    tracemalloc.start()
+    try:
+        FiniteRing.create(U.add_table, U.mul_table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_zero_ring_has_no_unit():
