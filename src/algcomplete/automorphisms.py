@@ -52,7 +52,6 @@ class AutomorphismGroup:
 
     base: FiniteGroup
     elems: tuple[tuple[int, ...], ...]
-    carrier_cap: int = DEFAULT_ELEMENT_CAP
 
     @property
     def order(self) -> int:
@@ -100,8 +99,8 @@ class AutomorphismGroup:
         the list raises TableInvalid, since then the list is not a group.
         """
         n = self.order
-        if n > self.carrier_cap:
-            raise SizeCap(f"automorphism group order {n} exceeds cap {self.carrier_cap}")
+        if n > DEFAULT_ELEMENT_CAP:
+            raise SizeCap(f"automorphism group order {n} exceeds cap {DEFAULT_ELEMENT_CAP}")
         size = self.base.order
         perms = np.array(self.elems, dtype=np.intp)
         fingerprints = perms[:, list(self._fingerprint_gens)]

@@ -38,26 +38,15 @@ from .automorphisms import (
     inner_subgroup,
 )
 from .extensions import (
-    SplitExtension,
+    GroupAction,
     enumerate_normal_embeddings,
     iter_actions,
+    semidirect_columns,
     semidirect_product,
 )
 
 
 # -- retraction searches ------------------------------------------------------
-
-
-def _kernel_retractions(e: SplitExtension, budget: Optional[_Budget], limit: int = 1):
-    """Up to `limit` retractions r: A -> X of kappa, as image arrays.
-
-    kappa(gens of X) + beta(gens of B) generate A, so no generator search
-    over the (large) middle group is ever needed.
-    """
-    X = e.X
-    forced = {e.kappa(x): [x] for x in range(X.order)}
-    gens = [e.kappa(x) for x in X.generators] + [e.beta(b) for b in e.B.generators]
-    return find_constrained_hom(e.A, X, gens, forced, budget=budget, limit=limit)
 
 
 def _embedding_retraction(Y: FiniteGroup, h: GroupHom, budget: Optional[_Budget]):
@@ -151,12 +140,12 @@ def classify_completeness(
 # -- definition-level oracles -------------------------------------------------
 
 
-def _action_witness(e: SplitExtension) -> dict:
+def _action_witness(a: GroupAction) -> dict:
     return {
         "kind": "split-extension",
-        "kernel": e.X.name or f"order-{e.X.order}",
-        "cokernel": e.B.name or f"order-{e.B.order}",
-        "action": list(e.action.indices) if e.action else None,
+        "kernel": a.X.name or f"order-{a.X.order}",
+        "cokernel": a.B.name or f"order-{a.B.order}",
+        "action": list(a.indices),
     }
 
 
@@ -171,32 +160,41 @@ def split_extension_oracles(
     """The proto and strong oracle verdicts from one pass over the split extensions.
 
     Every split extension G -> A -> B with B in the universe (|B| <= bound)
-    is built once, in canonical order, and searched for up to two
+    is visited once, in canonical order, and searched for up to two
     retractions of its kernel while the strong verdict stands, for one after
     that.  The first extension without a retraction refutes both verdicts
     (the strong one unless a non-unique retraction refuted it earlier) and
     ends the pass.  One budget covers every retraction search.
+
+    A retraction is determined by its values on kappa(gens of G) and
+    beta(gens of B), so the search reads only A's right multiplication by
+    those (`semidirect_columns`), and G's own schedule levels serve every
+    extension.  The full middle group is built only for a witness.
     """
     b = _Budget(budget if budget is not None else DEFAULT_SEARCH_BUDGET,
                 "split-extension oracles")
+    kernel_levels = G.hom_domain().schedules()
+    fixed = {x: [x] for x in range(G.order)}  # a retraction fixes kappa(x) = x
     strong = None
     for B in universe:
         if B.order > bound or B.order * G.order > cap:
             continue
         for a in iter_actions(B, G):
-            e = semidirect_product(a, cap=cap)
-            found = _kernel_retractions(e, b, limit=1 if strong is not None else 2)
+            found = find_constrained_hom(semidirect_columns(a, kernel_levels), G, allowed=fixed,
+                                         budget=b, limit=1 if strong is not None else 2)
             if not found:
-                w = _action_witness(e)
+                A = semidirect_product(a, cap=cap).A
+                w = _action_witness(a)
                 w["failure"] = "no retraction"
-                proto = OracleVerdict("proto", False, bound, universe_id, w, e.A)
+                proto = OracleVerdict("proto", False, bound, universe_id, w, A)
                 if strong is None:
-                    strong = OracleVerdict("strong", False, bound, universe_id, dict(w), e.A)
+                    strong = OracleVerdict("strong", False, bound, universe_id, dict(w), A)
                 return proto, strong
             if strong is None and len(found) > 1:
-                w = _action_witness(e)
+                A = semidirect_product(a, cap=cap).A
+                w = _action_witness(a)
                 w["failure"] = "retraction not unique"
-                strong = OracleVerdict("strong", False, bound, universe_id, w, e.A)
+                strong = OracleVerdict("strong", False, bound, universe_id, w, A)
     proto = OracleVerdict("proto", True, bound, universe_id, None)
     return proto, strong or OracleVerdict("strong", True, bound, universe_id, None)
 
@@ -346,7 +344,7 @@ def implication_audit(
         extra.append(op.middle)
     if rep.center_order == 1:
         aut = automorphism_group(G)
-        if aut.order <= aut.carrier_cap:
+        if aut.order <= DEFAULT_ELEMENT_CAP:
             extra.append(aut.carrier)
     oc = oracle_completeness(
         G, "complete", bound, list(universe) + extra, universe_id + "+witnesses", budget, cap

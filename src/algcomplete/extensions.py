@@ -14,6 +14,7 @@ from .groups import (
     DEFAULT_SEARCH_BUDGET,
     FiniteGroup,
     GroupHom,
+    HomDomain,
     _Budget,
     iter_hom_images,
 )
@@ -36,12 +37,17 @@ class GroupAction:
 
     @staticmethod
     def create(B: FiniteGroup, X: FiniteGroup, aut: AutomorphismGroup, indices) -> "GroupAction":
-        idx = tuple(indices)
+        a = GroupAction(B, X, aut, tuple(indices))
+        a.check()
+        return a
+
+    def check(self) -> None:
+        """Assert that b -> a(b) is a homomorphism, checked on the generators of B."""
+        B, aut, idx = self.B, self.aut, self.indices
         assert len(idx) == B.order and idx[0] == 0
         for a in B.generators:
             for b in range(B.order):
                 assert aut.mul(idx[a], idx[b]) == idx[B.mul(a, b)], "action is not a hom"
-        return GroupAction(B, X, aut, idx)
 
     @cached_property
     def act(self) -> GroupHom:
@@ -128,6 +134,47 @@ def semidirect_product(
     return SplitExtension.create(kappa, alpha, beta, a)
 
 
+def semidirect_columns(a: GroupAction, kernel_levels: Sequence = ()) -> HomDomain:
+    """X : B as a hom-search domain on kappa(gens of X) + beta(gens of B), with no table.
+
+    Each column comes straight from (b,x)(b',x') = (bb', a(b'^-1)(x) x'),
+    with (b,x) encoded as b*|X| + x as in `semidirect_product`: kappa(x0)
+    sends (b,x) to (b, x x0) and beta(b0) sends it to (b b0, a(b0^-1)(x)).
+    That is O(|A|) memory per generator instead of the |A|^2 Cayley table.
+    Since kappa(x) = x, the search schedules over kappa(gens of X) are X's
+    own schedules over its generators; pass them as `kernel_levels`.
+
+    The split-extension invariants are asserted on the generators: beta is a
+    section, kappa is injective, im(kappa) = ker(alpha), and N g = g N for
+    N = im(kappa) and every generator g.  The action is checked to be a
+    homomorphism, which is what makes these columns those of a group.
+    """
+    a.check()
+    B, X = a.B, a.X
+    nb, m = B.order, X.order
+    n = nb * m
+    alpha = np.arange(n) // m
+    kappa = np.arange(m)
+    beta = np.arange(nb) * m
+    bt, xt = B.np_table, X.np_table
+    gens = list(X.generators) + [b0 * m for b0 in B.generators]  # kappa(x0) = x0, beta(b0) = b0 m
+    cols = [(beta[:, None] + xt[:, x0]).ravel() for x0 in X.generators]
+    for b0 in B.generators:
+        perm = np.asarray(a.aut.elems[a.indices[B.inverses[b0]]], dtype=np.int64)
+        cols.append((beta[bt[:, b0]][:, None] + perm).ravel())
+    image = np.zeros(n, dtype=bool)
+    image[kappa] = True
+    assert np.array_equal(alpha[beta], np.arange(nb)), "beta is not a section"
+    assert np.count_nonzero(image) == m, "kappa is not mono"
+    assert np.array_equal(image, alpha == 0), "im(kappa) != ker(alpha)"
+    for g, col in zip(gens, cols):
+        coset = np.zeros(n, dtype=bool)
+        coset[col[kappa]] = True  # N g
+        # g N is the fibre of alpha over alpha(g), since a(1) is the identity
+        assert np.array_equal(coset, alpha == alpha[g]), "im(kappa) is not normal"
+    return HomDomain(n, tuple(gens), tuple(c.tolist() for c in cols), tuple(kernel_levels))
+
+
 def holonomy(G: FiniteGroup, cap: int = DEFAULT_ELEMENT_CAP) -> SplitExtension:
     """The generic split extension G -> Aut(G) |x G -> Aut(G).
 
@@ -136,7 +183,7 @@ def holonomy(G: FiniteGroup, cap: int = DEFAULT_ELEMENT_CAP) -> SplitExtension:
     conjugation morphism along kappa.
     """
     aut = automorphism_group(G)
-    if aut.order > aut.carrier_cap:
+    if aut.order > DEFAULT_ELEMENT_CAP:
         raise SizeCap(f"holonomy base Aut of order {aut.order} exceeds carrier cap")
     carrier = aut.carrier
     a = GroupAction(carrier, G, aut, tuple(range(aut.order)))

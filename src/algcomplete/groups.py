@@ -167,6 +167,11 @@ class FiniteGroup:
     def generators(self) -> tuple[int, ...]:
         return greedy_generators(self)
 
+    def hom_domain(self, gens: Optional[Sequence[int]] = None) -> "HomDomain":
+        """The hom-search domain on `gens` (default `generators`), columns read off the table."""
+        gens = self.generators if gens is None else tuple(gens)
+        return HomDomain(self.order, gens, tuple([row[g] for row in self.table] for g in gens))
+
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and self.table == other.table
 
@@ -216,19 +221,32 @@ def greedy_generators(G: FiniteGroup, seed: Sequence[int] = ()) -> tuple[int, ..
     """Small generating set: repeatedly add the element giving the largest closure.
 
     Deterministic (ties broken by smallest index).  `seed` forces a prefix.
+    With nothing chosen yet, the closure of x has element_orders[x] elements.
+    A step skips every element inside a closure it has already computed (its
+    own closure is no larger and would lose the tie) and stops at the first
+    closure that is all of G.
     """
     gens = [g for g in seed if g != 0]
-    current = set(subgroup_closure(G, gens))
-    while len(current) < G.order:
-        best, best_size = None, -1
-        for x in range(G.order):
-            if x in current:
+    n = G.order
+    current = subgroup_closure(G, gens)
+    while len(current) < n:
+        if not gens:
+            gens.append(max(range(1, n), key=G.element_orders.__getitem__))
+            current = subgroup_closure(G, gens)
+            continue
+        best, best_closure = None, current
+        covered = set(current)
+        for x in range(n):
+            if x in covered:
                 continue
-            size = len(subgroup_closure(G, gens + [x]))
-            if size > best_size:
-                best, best_size = x, size
+            closure = subgroup_closure(G, gens + [x])
+            if len(closure) > len(best_closure):
+                best, best_closure = x, closure
+                if len(closure) == n:
+                    break
+            covered.update(closure)
         gens.append(best)
-        current = set(subgroup_closure(G, gens))
+        current = best_closure
     return tuple(gens)
 
 
@@ -401,9 +419,10 @@ class GroupHom:
 
 # -- generic backtracking hom search ----------------------------------------
 #
-# Searches run against a minimal "group ops" interface so that codomains can
-# be automorphism groups whose Cayley table would be too large to build:
-# required attributes: order, mul(i, j), element_order(i).
+# The domain is read only through a HomDomain: its order and the right
+# multiplication by each generator.  Codomains need only a minimal "group ops"
+# interface, so that they can be automorphism groups whose Cayley table would
+# be too large to build: order, mul(i, j), element_order(i).
 
 
 class _Budget:
@@ -422,52 +441,83 @@ class _Budget:
             raise SearchBudgetExceeded(f"{self.phase}: {msg}" if self.phase else msg)
 
 
-def _level_schedules(G: FiniteGroup, gens: Sequence[int]):
-    """Per-prefix multiplication schedules for the backtracking hom search.
+@dataclass(frozen=True, eq=False)
+class HomDomain:
+    """What the hom search reads of its domain group.
 
-    schedule[k] covers the subgroup generated by gens[:k+1]: a list of
-    (parent, gen_pos, product, is_new) with parents appearing before any
-    product naming them, so image values can be propagated in one pass.
-    At full depth the schedule checks f(x*g)=f(x)*f(g) for every x in G and
-    every generator g, which forces f to be a homomorphism.
+    `columns[pos][x]` is x * gens[pos] for every element x of a group of
+    `order` elements, identity at 0, so the search never needs the Cayley
+    table.  `levels` are the search schedules of a prefix of `gens`
+    (`schedules()`), when the caller already has them.  A FiniteGroup
+    supplies its columns from its table (`FiniteGroup.hom_domain`); a split
+    extension supplies them from its action (`extensions.semidirect_columns`).
     """
-    schedules = []
-    for k in range(1, len(gens) + 1):
-        active = gens[:k]
-        sched = []
-        known = {0}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for pos in range(k):
-                y = G.table[x][active[pos]]
-                if y in known:
-                    sched.append((x, pos, y, False))
-                else:
-                    known.add(y)
-                    sched.append((x, pos, y, True))
-                    queue.append(y)
-        schedules.append(sched)
-    return schedules
+
+    order: int
+    gens: tuple[int, ...]
+    columns: tuple[Sequence[int], ...]
+    levels: tuple = ()
+
+    def gen_orders(self) -> tuple[int, ...]:
+        """The order of each generator g, from the powers of g along its own column."""
+        orders = []
+        for col in self.columns:
+            k, x = 1, col[0]
+            while x != 0:
+                x = col[x]
+                k += 1
+            orders.append(k)
+        return tuple(orders)
+
+    def schedules(self) -> list:
+        """Per-prefix multiplication schedules for the backtracking hom search.
+
+        schedule[k] covers the subgroup generated by gens[:k+1]: a list of
+        (parent, gen_pos, product, is_new) in breadth-first order from the
+        identity, with parents appearing before any product naming them, so
+        image values can be propagated in one pass.  At full depth the
+        schedule checks f(x*g)=f(x)*f(g) for every x and every generator g,
+        which forces f to be a homomorphism.  The prefix given as `levels` is
+        kept; only the later levels are built.
+        """
+        schedules = list(self.levels)
+        for k in range(len(schedules) + 1, len(self.columns) + 1):
+            active = self.columns[:k]
+            sched = []
+            known = {0}
+            queue = deque([0])
+            while queue:
+                x = queue.popleft()
+                for pos, col in enumerate(active):
+                    y = col[x]
+                    if y in known:
+                        sched.append((x, pos, y, False))
+                    else:
+                        known.add(y)
+                        sched.append((x, pos, y, True))
+                        queue.append(y)
+            schedules.append(sched)
+        return schedules
 
 
 def iter_hom_images(
-    G: FiniteGroup,
+    G: "FiniteGroup | HomDomain",
     cod,
     gens: Optional[Sequence[int]] = None,
     allowed: Optional[Mapping[int, Sequence[int]]] = None,
     budget: Optional[_Budget] = None,
     injective: bool = False,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield the full image array of every hom G -> cod determined by `gens`.
+    """Yield the full image array of every hom G -> cod determined by its generators.
 
-    `gens` defaults to G.generators.  Generator g ranges over allowed[g] in
-    the given order, or over all of `cod` when g has no entry; candidates
-    whose element order cannot match are dropped (with `injective=True` the
-    order must equal g's, otherwise divide it).  Output order is
-    lexicographic on the generator image tuple.  `cod` needs only the
-    group-ops interface.  With `injective=True`, branches producing repeated
-    images are pruned.
+    `G` is a FiniteGroup, searched on `gens` (default G.generators), or a
+    HomDomain, which carries its own generators.  Generator g ranges over
+    allowed[g] in the given order, or over all of `cod` when g has no entry;
+    candidates whose element order cannot match are dropped (with
+    `injective=True` the order must equal g's, otherwise divide it).  Output
+    order is lexicographic on the generator image tuple.  `cod` needs only
+    the group-ops interface.  With `injective=True`, branches producing
+    repeated images are pruned.
     """
     if budget is None:
         budget = _Budget(DEFAULT_SEARCH_BUDGET)
@@ -475,20 +525,18 @@ def iter_hom_images(
     if n == 1:
         yield (0,)
         return
-    if gens is None:
-        gens = G.generators
+    dom = G if isinstance(G, HomDomain) else G.hom_domain(gens)
     allowed = allowed or {}
     candidates = []
-    for g in gens:
-        o = G.element_order(g)
+    for g, o in zip(dom.gens, dom.gen_orders()):
         pool = allowed.get(g, range(cod.order))
         if injective:
             candidates.append([h for h in pool if cod.element_order(h) == o])
         else:
             candidates.append([h for h in pool if o % cod.element_order(h) == 0])
-    schedules = _level_schedules(G, gens)
+    schedules = dom.schedules()
     cod_mul = cod.mul
-    k = len(gens)
+    k = len(dom.gens)
 
     def attempt(depth: int, assigned: Sequence[int]) -> Optional[list[int]]:
         budget.spend()
@@ -527,7 +575,7 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup, budget: Optional[int] = None)
 
 
 def find_constrained_hom(
-    G: FiniteGroup,
+    G: "FiniteGroup | HomDomain",
     H,
     gens: Optional[Sequence[int]] = None,
     allowed: Optional[Mapping[int, Sequence[int]]] = None,

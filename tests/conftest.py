@@ -1,7 +1,7 @@
 import pytest
 
 from algcomplete.catalog import build_catalog, cyclic, dihedral, symmetric
-from algcomplete.groups import direct_product, group_from_permutations
+from algcomplete.groups import FiniteGroup, direct_product, group_from_permutations
 
 
 @pytest.fixture(scope="session")
@@ -13,6 +13,16 @@ def holomorph_generators(p: int) -> list[list[int]]:
     """Hol(Z_p) on the points of Z_p: x -> x + 1 and x -> g x, g a primitive root."""
     g = next(g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1)
     return [[(x + 1) % p for x in range(p)], [(g * x) % p for x in range(p)]]
+
+
+def relabel(G, rnd):
+    """G on shuffled labels, the identity kept at 0."""
+    new = [0] + rnd.sample(range(1, G.order), G.order - 1)  # old label i becomes new[i]
+    table = [[0] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            table[new[a]][new[b]] = new[G.table[a][b]]
+    return FiniteGroup.from_table(table, G.name)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ from algcomplete.catalog import cyclic, dicyclic, dihedral, symmetric
 from algcomplete.commutators import center, centralizer
 from algcomplete.completeness import classify_completeness
 from algcomplete.errors import TableInvalid
-from algcomplete.groups import FiniteGroup, Subgroup, is_isomorphic, normal_subgroups
+from algcomplete.groups import Subgroup, is_isomorphic, normal_subgroups
 from algcomplete.automorphisms import (
     AutomorphismGroup,
     automorphism_group,
@@ -15,6 +15,7 @@ from algcomplete.automorphisms import (
     outer_quotient,
     relative_classifier,
 )
+from conftest import relabel
 
 # independently known automorphism group orders
 KNOWN_AUT_ORDERS = {
@@ -170,21 +171,11 @@ def test_conjugation_indices_match_index_of_perm(catalog, Hol17):
         assert conjugation_indices(G, aut) == expected, G.name
 
 
-def _relabel(G, rnd):
-    """G on shuffled labels, the identity kept at 0."""
-    new = [0] + rnd.sample(range(1, G.order), G.order - 1)  # old label i becomes new[i]
-    table = [[0] * G.order for _ in range(G.order)]
-    for a in range(G.order):
-        for b in range(G.order):
-            table[new[a]][new[b]] = new[G.table[a][b]]
-    return FiniteGroup.from_table(table, G.name)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.data(), st.randoms(use_true_random=False))
 def test_relabelling_keeps_invariants_and_verdicts(catalog, data, rnd):
     G = data.draw(st.sampled_from(catalog))
-    H = _relabel(G, rnd)
+    H = relabel(G, rnd)
     assert H.order_profile == G.order_profile
     expected, got = classify_completeness(G), classify_completeness(H)
     for field in ("center_order", "aut_order", "inn_order", "out_order",

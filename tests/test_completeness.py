@@ -17,6 +17,7 @@ from algcomplete.groups import (
     FiniteGroup,
     _Budget,
     direct_product,
+    find_constrained_hom,
     is_isomorphic,
     normal_subgroups,
     validate_table,
@@ -32,6 +33,7 @@ from algcomplete.completeness import (
     oracle_completeness,
     split_extension_oracles,
 )
+from conftest import relabel
 
 
 def small_universe():
@@ -93,6 +95,24 @@ def test_oracle_proto_refutes_z4(Z4):
     assert v.witness["failure"] == "no retraction"
 
 
+def _kernel_retractions(e, budget, limit=1):
+    """Up to `limit` retractions of kappa, searched on the full middle group e.A."""
+    X = e.X
+    forced = {e.kappa(x): [x] for x in range(X.order)}
+    gens = [e.kappa(x) for x in X.generators] + [e.beta(b) for b in e.B.generators]
+    return find_constrained_hom(e.A, X, gens, forced, budget=budget, limit=limit)
+
+
+def _witness(G, B, a, failure):
+    return {
+        "kind": "split-extension",
+        "kernel": G.name or f"order-{G.order}",
+        "cokernel": B.name or f"order-{B.order}",
+        "action": list(a.indices),
+        "failure": failure,
+    }
+
+
 def per_mode_oracle(G, mode, bound, universe, cap=512):
     """Reference: one mode at a time, every split extension built afresh.
 
@@ -104,18 +124,96 @@ def per_mode_oracle(G, mode, bound, universe, cap=512):
             continue
         for a in iter_actions(B, G):
             e = semidirect_product(a, cap=cap)
-            found = completeness._kernel_retractions(e, b, limit=1 if mode == "proto" else 2)
+            found = _kernel_retractions(e, b, limit=1 if mode == "proto" else 2)
             if found and (mode == "proto" or len(found) == 1):
                 continue
-            w = {
-                "kind": "split-extension",
-                "kernel": G.name or f"order-{G.order}",
-                "cokernel": B.name or f"order-{B.order}",
-                "action": list(a.indices),
-                "failure": "no retraction" if not found else "retraction not unique",
-            }
-            return False, w, e.A.table
+            failure = "no retraction" if not found else "retraction not unique"
+            return False, _witness(G, B, a, failure), e.A.table
     return True, None, None
+
+
+def table_oracles(G, bound, universe, cap=512):
+    """Reference: the fused split-extension pass over full Cayley tables.
+
+    Every extension is built by `semidirect_product` (all of
+    `SplitExtension.create`'s checks) and searched on its table.  Returns
+    the proto and strong (flag, witness, middle table or None) and the
+    number of search nodes spent.
+    """
+    b = _Budget(DEFAULT_SEARCH_BUDGET)
+    strong = None
+    for B in universe:
+        if B.order > bound or B.order * G.order > cap:
+            continue
+        for a in iter_actions(B, G):
+            e = semidirect_product(a, cap=cap)
+            found = _kernel_retractions(e, b, limit=1 if strong is not None else 2)
+            if not found:
+                proto = (False, _witness(G, B, a, "no retraction"), e.A.table)
+                return proto, strong or proto, DEFAULT_SEARCH_BUDGET - b.left
+            if strong is None and len(found) > 1:
+                strong = (False, _witness(G, B, a, "retraction not unique"), e.A.table)
+    holds = (True, None, None)
+    return holds, strong or holds, DEFAULT_SEARCH_BUDGET - b.left
+
+
+def column_oracles(monkeypatch, G, bound, universe):
+    """split_extension_oracles and the search nodes its one budget spent."""
+    made = []
+
+    class Recording(_Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(completeness, "_Budget", Recording)
+        pair = split_extension_oracles(G, bound, universe, "builtin")
+    (b,) = made
+    return pair, DEFAULT_SEARCH_BUDGET - b.left
+
+
+def assert_matches_table_reference(monkeypatch, G, bound, universe):
+    pair, spent = column_oracles(monkeypatch, G, bound, universe)
+    *expected, expected_spent = table_oracles(G, bound, universe)
+    for mode, v, (flag, witness, middle) in zip(("proto", "strong"), pair, expected):
+        assert (v.mode, v.bound, v.universe_id) == (mode, bound, "builtin")
+        assert (v.flag, v.witness) == (flag, witness), (G.name, mode)
+        assert (v.middle.table if v.middle is not None else None) == middle, (G.name, mode)
+    assert spent == expected_spent, G.name
+
+
+def test_column_pass_matches_table_reference(monkeypatch, catalog):
+    """Flag, witness, middle table and nodes spent, at bound 2|G|; S4 at bound 7 below."""
+    for G in catalog:
+        if G.name != "G24.14":
+            assert_matches_table_reference(monkeypatch, G, 2 * G.order, catalog)
+
+
+def test_column_pass_matches_table_reference_on_s4(monkeypatch, catalog):
+    S4 = next(G for G in catalog if G.name == "G24.14")
+    assert is_isomorphic(S4, symmetric(4)) is not None
+    assert_matches_table_reference(monkeypatch, S4, 7, catalog)
+
+
+def test_column_pass_spends_its_budget_to_the_node(S3):
+    uni = small_universe()
+    *_, spent = table_oracles(S3, 6, uni)
+    assert split_extension_oracles(S3, 6, uni, "small", budget=spent)[0].flag
+    with pytest.raises(SearchBudgetExceeded, match="^split-extension oracles: "):
+        split_extension_oracles(S3, 6, uni, "small", budget=spent - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.randoms(use_true_random=False))
+def test_relabelling_keeps_oracle_flags_and_witness_cokernels(catalog, data, rnd):
+    G = data.draw(st.sampled_from([G for G in catalog if G.order <= 12]))
+    H = relabel(G, rnd)
+    expected = split_extension_oracles(G, 2 * G.order, catalog, "builtin")
+    got = split_extension_oracles(H, 2 * G.order, catalog, "builtin")
+    for v, w in zip(expected, got):
+        assert w.flag == v.flag
+        assert (w.witness or {}).get("cokernel") == (v.witness or {}).get("cokernel")
 
 
 def test_fused_oracles_match_per_mode_reference(catalog):

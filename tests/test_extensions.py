@@ -16,6 +16,7 @@ from algcomplete.extensions import (
     holonomy,
     iter_actions,
     product_form_isomorphism,
+    semidirect_columns,
     semidirect_product,
     trivial_action,
 )
@@ -45,6 +46,31 @@ def test_create_still_rejects_a_non_section(Z3, Z2):
     not_section = GroupHom(Z2, e.A, (0, 1))  # lands in im(kappa), so alpha(beta(1)) = 0
     with pytest.raises(AssertionError, match="beta is not a section"):
         SplitExtension.create(e.kappa, e.alpha, not_section, e.action)
+
+
+@pytest.mark.parametrize("X, B", [(cyclic(3), cyclic(2)), (dihedral(2), cyclic(3)),
+                                  (cyclic(7), cyclic(6)), (symmetric(3), cyclic(4)),
+                                  (dicyclic(2), dihedral(2)), (cyclic(1), cyclic(3))],
+                         ids=["Z3:Z2", "V4:Z3", "Z7:Z6", "S3:Z4", "Q8:V4", "1:Z3"])
+def test_columns_match_the_semidirect_table(X, B):
+    levels = X.hom_domain().schedules()
+    for a in iter_actions(B, X):
+        e = semidirect_product(a)
+        dom = semidirect_columns(a, levels)
+        gens = [e.kappa(x) for x in X.generators] + [e.beta(b) for b in B.generators]
+        assert dom.order == e.A.order and dom.gens == tuple(gens)
+        assert dom.columns == e.A.hom_domain(gens).columns
+        assert dom.gen_orders() == tuple(e.A.element_order(g) for g in gens)
+        assert dom.schedules() == semidirect_columns(a).schedules()
+
+
+def test_columns_reject_a_non_homomorphic_action(Z3):
+    aut = automorphism_group(Z3)
+    bad = GroupAction(Z3, Z3, aut, (0, 1, 1))  # a(1) a(1) is the identity, not a(2)
+    with pytest.raises(AssertionError, match="action is not a hom"):
+        semidirect_columns(bad)
+    with pytest.raises(AssertionError, match="action is not a hom"):
+        GroupAction.create(Z3, Z3, aut, (0, 1, 1))
 
 
 def test_z3_by_z2_gives_z6_and_s3(Z3, Z2, S3):

@@ -14,6 +14,7 @@ from algcomplete.groups import (
     direct_product,
     enumerate_homs,
     find_constrained_hom,
+    greedy_generators,
     group_from_permutations,
     is_isomorphic,
     load_group,
@@ -97,6 +98,36 @@ def test_inverses_and_conjugation(S3):
 def test_subgroup_closure_generates_whole_group(S3):
     gens = S3.generators
     assert subgroup_closure(S3, gens) == tuple(range(6))
+
+
+def reference_greedy_generators(G, seed=()):
+    """Reference: one subgroup closure per remaining element at every step."""
+    gens = [g for g in seed if g != 0]
+    current = set(subgroup_closure(G, gens))
+    while len(current) < G.order:
+        best, best_size = None, -1
+        for x in range(G.order):
+            if x in current:
+                continue
+            size = len(subgroup_closure(G, gens + [x]))
+            if size > best_size:
+                best, best_size = x, size
+        gens.append(best)
+        current = set(subgroup_closure(G, gens))
+    return tuple(gens)
+
+
+def test_greedy_generators_match_reference(catalog):
+    for G in catalog:
+        assert greedy_generators(G) == reference_greedy_generators(G), G.name
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_seeded_greedy_generators_match_reference(catalog, data):
+    G = data.draw(st.sampled_from(catalog))
+    seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    assert greedy_generators(G, seed) == reference_greedy_generators(G, seed)
 
 
 def test_subgroup_create_rejects_non_closed(S4):
