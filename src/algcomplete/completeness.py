@@ -25,10 +25,10 @@ from .groups import (
     GroupHom,
     Subgroup,
     _Budget,
-    all_subgroups,
     direct_product,
     find_constrained_hom,
     greedy_generators,
+    normal_subgroups,
     quotient,
 )
 from .commutators import center, is_characteristic
@@ -363,11 +363,7 @@ def implication_audit(
     normal_char = None
     if rep.proto_complete:
         aut = automorphism_group(G)
-        normal_char = all(
-            is_characteristic(G, S, aut.elems)
-            for S in all_subgroups(G)
-            if S.is_normal()
-        )
+        normal_char = all(is_characteristic(G, S, aut.elems) for S in normal_subgroups(G))
         if not normal_char:
             violations.append("proto-complete group with a non-characteristic normal subgroup")
     if factors is not None and oc.flag:
@@ -392,7 +388,8 @@ def char_simple_audit(G: FiniteGroup, budget: Optional[int] = None) -> CharSimpl
     if G.is_abelian:
         raise AbelianInput(G.name or f"order-{G.order}")
     aut = automorphism_group(G, budget=budget)
-    for S in all_subgroups(G):
+    # characteristic subgroups are normal
+    for S in normal_subgroups(G):
         if S.order in (1, G.order):
             continue
         if is_characteristic(G, S, aut.elems):

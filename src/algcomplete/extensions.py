@@ -41,13 +41,20 @@ class GroupAction:
         a.check()
         return a
 
-    def check(self) -> None:
-        """Assert that b -> a(b) is a homomorphism, checked on the generators of B."""
-        B, aut, idx = self.B, self.aut, self.indices
+    def check(self) -> np.ndarray:
+        """Assert that b -> a(b) is a homomorphism, checked on the generators of B.
+
+        Returns q with q[b] = a(b^-1) as a permutation array of X.  The law
+        a((g b)^-1) = a(b^-1) a(g^-1) is compared for one generator g and
+        every b at once, as q[g b] = q[b] o q[g].
+        """
+        B, idx = self.B, self.indices
         assert len(idx) == B.order and idx[0] == 0
-        for a in B.generators:
-            for b in range(B.order):
-                assert aut.mul(idx[a], idx[b]) == idx[B.mul(a, b)], "action is not a hom"
+        elems, binv = self.aut.elems, B.inverses
+        q = np.asarray([elems[idx[binv[b]]] for b in range(B.order)], dtype=np.int64)
+        for g in B.generators:
+            assert np.array_equal(q[B.np_table[g]], q[:, q[g]]), "action is not a hom"
+        return q
 
     @cached_property
     def act(self) -> GroupHom:
@@ -111,7 +118,8 @@ def semidirect_product(
     Element (b,x) is encoded as b*|X| + x, so kappa(x) = x and the identity
     lands at index 0.  The table is assembled blockwise with numpy, and that
     array becomes the group's `np_table`; the convention makes conjugation by
-    beta(b) realize the action on im(kappa).
+    beta(b) realize the action on im(kappa).  The action is checked to be a
+    homomorphism (`GroupAction.check`), which is what makes the table a group.
     """
     B, X = a.B, a.X
     nb, m = B.order, X.order
@@ -119,10 +127,8 @@ def semidirect_product(
     if n > cap:
         raise SizeCap(f"semidirect product order {n} exceeds cap {cap}")
     xt = X.np_table
-    binv = B.inverses
     # inner[b', x, x'] = X.table[a(b'^-1)(x)][x']
-    perms = np.asarray([a.aut.elems[a.indices[binv[b]]] for b in range(nb)], dtype=np.int64)
-    inner = xt[perms]  # shape (nb, m, m)
+    inner = xt[a.check()]  # shape (nb, m, m)
     bm = B.np_table * m  # shape (nb, nb)
     full = bm[:, None, :, None] + np.transpose(inner, (1, 0, 2))[None, :, :, :]
     if name is None and B.name and X.name:
@@ -149,7 +155,7 @@ def semidirect_columns(a: GroupAction, kernel_levels: Sequence = ()) -> HomDomai
     N = im(kappa) and every generator g.  The action is checked to be a
     homomorphism, which is what makes these columns those of a group.
     """
-    a.check()
+    inverse_perms = a.check()
     B, X = a.B, a.X
     nb, m = B.order, X.order
     n = nb * m
@@ -160,8 +166,7 @@ def semidirect_columns(a: GroupAction, kernel_levels: Sequence = ()) -> HomDomai
     gens = list(X.generators) + [b0 * m for b0 in B.generators]  # kappa(x0) = x0, beta(b0) = b0 m
     cols = [(beta[:, None] + xt[:, x0]).ravel() for x0 in X.generators]
     for b0 in B.generators:
-        perm = np.asarray(a.aut.elems[a.indices[B.inverses[b0]]], dtype=np.int64)
-        cols.append((beta[bt[:, b0]][:, None] + perm).ravel())
+        cols.append((beta[bt[:, b0]][:, None] + inverse_perms[b0]).ravel())
     image = np.zeros(n, dtype=bool)
     image[kappa] = True
     assert np.array_equal(alpha[beta], np.arange(nb)), "beta is not a section"

@@ -348,7 +348,35 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
 
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    return [S for S in all_subgroups(G) if S.is_normal()]
+    """Every normal subgroup, in the (order, elements) order of `all_subgroups`.
+
+    A normal subgroup is the join of the normal closures of the conjugacy
+    classes it contains, so the normal subgroups are the class closures
+    closed under joins.  The join of normal N and K is the product set NK.
+    """
+    t = G.np_table
+    inv = np.asarray(G.inverses, dtype=np.int64)
+
+    def members(idx: np.ndarray) -> tuple[int, ...]:
+        mask = np.zeros(G.order, dtype=bool)
+        mask[idx] = True
+        return tuple(np.flatnonzero(mask).tolist())
+
+    conj = t[t, inv[:, None]].T  # conj[x, g] = g x g^-1
+    classes = {members(row) for row in conj[1:]}
+    closures = {subgroup_closure(G, c) for c in classes}
+    seen = {(0,)} | closures
+    frontier = list(seen)
+    while frontier:
+        new: list[tuple[int, ...]] = []
+        for elems in frontier:
+            for k in closures:
+                join = members(t[np.ix_(elems, k)])
+                if join not in seen:
+                    seen.add(join)
+                    new.append(join)
+        frontier = new
+    return [Subgroup(G, elems) for elems in sorted(seen, key=lambda e: (len(e), e))]
 
 
 # -- homomorphisms ----------------------------------------------------------

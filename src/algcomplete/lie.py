@@ -19,22 +19,30 @@ SECTION_EXPONENT_CAP = 6
 
 
 def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row-reduced echelon form mod p and the pivot column list."""
-    m = mat.copy() % p
+    """Row-reduced echelon form mod p and the pivot column list.
+
+    Each pivot is the first nonzero entry at or below the current row, and
+    one outer-product update clears its column in every other row at once.
+    Rows below the current one are zero left of the pivot column, so the
+    update only touches columns from the pivot on.
+    """
+    m = np.asarray(mat, dtype=np.int64) % p
     rows, cols = m.shape
     pivots = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        pivot = next((i for i in range(r, rows) if m[i, c] % p != 0), None)
-        if pivot is None:
+        below = np.flatnonzero(m[r:, c])
+        if below.size == 0:
             continue
-        m[[r, pivot]] = m[[pivot, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        for i in range(rows):
-            if i != r and m[i, c] % p != 0:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
+        pivot = r + int(below[0])
+        if pivot != r:
+            m[[r, pivot]] = m[[pivot, r]]
+        m[r, c:] = (m[r, c:] * pow(int(m[r, c]), -1, p)) % p
+        hit = np.flatnonzero(m[:, c])
+        hit = hit[hit != r]
+        m[hit, c:] = (m[hit, c:] - np.outer(m[hit, c], m[r, c:])) % p
         pivots.append(c)
         r += 1
     return m, pivots
@@ -48,26 +56,31 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     if rows == 0:
         return np.eye(cols, dtype=np.int64)
     r, pivots = _rref(mat, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[c, k] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = (-r[i, c]) % p
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = (-r[: len(pivots)][:, free]) % p
     return basis
 
 
 def solve_linear(mat: np.ndarray, rhs: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """One solution of mat @ x = rhs mod p, or None."""
+    """One solution x of mat @ x = rhs mod p, or None.
+
+    `rhs` is a vector or a (rows, k) matrix of k right-hand sides; x has the
+    shape of `rhs` with rows replaced by mat's columns.  All columns are
+    reduced together, and the result is None if any one has no solution.
+    """
     rows, cols = mat.shape
-    aug = np.concatenate([mat % p, rhs.reshape(rows, 1) % p], axis=1)
+    b = np.asarray(rhs) % p
+    aug = np.concatenate([mat % p, b.reshape(rows, 1) if b.ndim == 1 else b], axis=1)
     r, pivots = _rref(aug, p)
-    if cols in pivots:
+    if pivots and pivots[-1] >= cols:
         return None
-    x = np.zeros(cols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, cols]
-    return x
+    x = np.zeros((cols, aug.shape[1] - cols), dtype=np.int64)
+    x[pivots] = r[: len(pivots), cols:]
+    return x[:, 0] if b.ndim == 1 else x
 
 
 def rank(mat: np.ndarray, p: int) -> int:
@@ -162,37 +175,32 @@ def lie_derivations(L: LieAlgebra) -> DerivationData:
         der = LieAlgebra.create(p, np.zeros((0, 0, 0)), f"Der({L.name})" if L.name else None)
         return DerivationData(L, (), der, np.zeros((0, 0), dtype=np.int64))
     c = L._c
-    # coeff[i,j,k, r,s] of unknown D[r,s] in equation (i,j,k)
-    coeff = np.zeros((d, d, d, d, d), dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                for s in range(d):
-                    coeff[i, j, k, k, s] += c[i, j, s]  # D applied to [ei,ej]
-                coeff[i, j, k, :, i] -= c[:, j, k]  # -[De_i, e_j]
-                coeff[i, j, k, :, j] -= c[i, :, k]  # -[e_i, De_j]
+    eye = np.eye(d, dtype=np.int64)
+    # coeff[i,j,k, r,s] of unknown D[r,s] in equation (i,j,k): D applied to
+    # [e_i,e_j] puts c[i,j,s] at r = k; -[De_i, e_j] puts -c[r,j,k] at s = i;
+    # -[e_i, De_j] puts -c[i,r,k] at s = j
+    coeff = (
+        np.einsum("ijs,kr->ijkrs", c, eye)
+        - np.einsum("rjk,is->ijkrs", c, eye)
+        - np.einsum("irk,js->ijkrs", c, eye)
+    )
     system = coeff.reshape(d * d * d, d * d) % p
-    ns = nullspace(system, p)  # (d*d, m)
+    ns = nullspace(system, p)  # (d*d, m); columns are the basis, already independent
     m = ns.shape[1]
-    mats = [ns[:, t].reshape(d, d) % p for t in range(m)]
-    # express [Di, Dj] = DiDj - DjDi in the basis; coordinates are unique
-    flat = ns % p  # columns are the basis, already independent
+    mats = ns.T.reshape(m, d, d)
+    # express every [Di, Dj] = DiDj - DjDi (i < j) in the basis; coordinates are unique
+    iu, ju = np.triu_indices(m, 1)
+    comm = (mats[iu] @ mats[ju] - mats[ju] @ mats[iu]) % p
+    coords = solve_linear(ns, comm.reshape(-1, d * d).T, p)
+    assert coords is not None, "Der must be closed under commutators"
     sc = np.zeros((m, m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            comm = (mats[i] @ mats[j] - mats[j] @ mats[i]) % p
-            coords = solve_linear(flat, comm.reshape(d * d), p)
-            assert coords is not None, "Der must be closed under commutators"
-            sc[i, j] = coords
-            sc[j, i] = (-coords) % p
+    sc[iu, ju] = coords.T
+    sc[ju, iu] = (-coords.T) % p
     der = LieAlgebra.create(p, sc, f"Der({L.name})" if L.name else None)
-    ad_coords = np.zeros((m, d), dtype=np.int64)
-    for i in range(d):
-        adm = L.ad_matrix(np.eye(d, dtype=np.int64)[i])
-        coords = solve_linear(flat, adm.reshape(d * d), p)
-        assert coords is not None, "inner derivations must lie in Der"
-        ad_coords[:, i] = coords
-    return DerivationData(L, tuple(tuple(map(tuple, mm)) for mm in mats), der, ad_coords)
+    ad_columns = c.transpose(0, 2, 1).reshape(d, d * d).T % p  # column i: ad(e_i), row-major
+    ad_coords = solve_linear(ns, ad_columns, p)
+    assert ad_coords is not None, "inner derivations must lie in Der"
+    return DerivationData(L, tuple(tuple(map(tuple, mm)) for mm in mats.tolist()), der, ad_coords)
 
 
 @dataclass(frozen=True)
@@ -222,33 +230,23 @@ def _bracket_respecting_sections(
     m = data.der.dim
     if m == 0:
         return [np.zeros((d, 0), dtype=np.int64)]
-    cols = []
-    for j in range(m):
-        x = solve_linear(A, np.eye(m, dtype=np.int64)[j], p)
-        if x is None:
-            return []  # ad not surjective: no section at all
-        cols.append(x)
-    S0 = np.stack(cols, axis=1) % p  # (d, m)
+    S0 = solve_linear(A, np.eye(m, dtype=np.int64), p)  # (d, m)
+    if S0 is None:
+        return []  # ad not surjective: no section at all
     Z = nullspace(A, p)  # (d, z) = center
     z = Z.shape[1]
     if z * m > SECTION_EXPONENT_CAP:
         raise SearchBudgetExceeded(f"section family of size {p}^{z * m}")
-    dsc = data.der._c
+    iu, ju = np.triu_indices(m, 1)
+    dsc = data.der._c[iu, ju]  # (pairs, m): [D_i, D_j] in Der's basis
     out = []
     for entries in itertools.product(range(p), repeat=z * m):
         C = np.asarray(entries, dtype=np.int64).reshape(z, m)
         S = (S0 + Z @ C) % p
-        ok = True
-        for i in range(m):
-            for j in range(i + 1, m):
-                want = (S @ dsc[i, j]) % p
-                got = L.bracket(S[:, i], S[:, j])
-                if not np.array_equal(want, got):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        # S[D_i, D_j] against [S D_i, S D_j], for every pair i < j at once
+        want = (S @ dsc.T) % p
+        got = np.einsum("ap,bp,abk->kp", S[:, iu], S[:, ju], L._c) % p
+        if np.array_equal(want, got):
             out.append(S)
             if len(out) >= limit:
                 break

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+import numpy as np
+
 from .errors import TableInvalid
 from .groups import FiniteGroup, first_mismatch, validate_table
 
@@ -31,8 +33,6 @@ class FiniteRing:
         n = len(at)
         if len(mt) != n or any(len(r) != n for r in mt):
             raise TableInvalid("multiplication table shape mismatch")
-        import numpy as np
-
         A = np.asarray(at, dtype=np.int64)
         M = np.asarray(mt, dtype=np.int64)
         if not np.array_equal(A, A.T):
@@ -58,7 +58,18 @@ class FiniteRing:
         )
         if right is not None:
             raise TableInvalid("right distributivity fails")
-        return FiniteRing(at, mt, name)
+        R = FiniteRing(at, mt, name)
+        R.__dict__["np_add"] = A
+        R.__dict__["np_mul"] = M
+        return R
+
+    @cached_property
+    def np_add(self) -> np.ndarray:
+        return np.asarray(self.add_table, dtype=np.int64)
+
+    @cached_property
+    def np_mul(self) -> np.ndarray:
+        return np.asarray(self.mul_table, dtype=np.int64)
 
     @property
     def order(self) -> int:
@@ -141,24 +152,26 @@ class Unitalization:
         return r
 
 
+def _multiples(R: FiniteRing, m: int) -> np.ndarray:
+    """K[a][r] = a.r for 0 <= a < m, each row the previous one plus r."""
+    A = R.np_add
+    ar = np.arange(R.order)
+    K = np.zeros((m, R.order), dtype=np.int64)
+    for a in range(1, m):
+        K[a] = A[K[a - 1], ar]
+    return K
+
+
 def unitalization(R: FiniteRing) -> Unitalization:
+    """Both tables of Z_m x R at once, from R's tables and its multiples a.r."""
     m = R.additive_exponent
     n = R.order
-    size = m * n
-
-    def add(x, y):
-        a, r = divmod(x, n)
-        b, s = divmod(y, n)
-        return ((a + b) % m) * n + R.add(r, s)
-
-    def mul(x, y):
-        a, r = divmod(x, n)
-        b, s = divmod(y, n)
-        val = R.add(R.add(R.smul(a, s), R.smul(b, r)), R.mul(r, s))
-        return ((a * b) % m) * n + val
-
-    at = tuple(tuple(add(x, y) for y in range(size)) for x in range(size))
-    mt = tuple(tuple(mul(x, y) for y in range(size)) for x in range(size))
+    A, M, K = R.np_add, R.np_mul, _multiples(R, m)
+    a, r = np.divmod(np.arange(m * n), n)  # x = a*n + r
+    a1, r1, a2, r2 = a[:, None], r[:, None], a[None, :], r[None, :]
+    at = (((a1 + a2) % m) * n + A[r1, r2]).tolist()
+    # (a,r)(b,s) = (ab, a.s + b.r + rs)
+    mt = (((a1 * a2) % m) * n + A[A[K[a1, r2], K[a2, r1]], M[r1, r2]]).tolist()
     name = f"Z{m}|x{R.name}" if R.name else None
     return Unitalization(R, m, FiniteRing.create(at, mt, name))
 
@@ -169,24 +182,19 @@ def _ring_retractions(u: Unitalization) -> list[tuple[int, ...]]:
     Any additive retraction is determined by e = l((1,0)): additivity gives
     l((a,r)) = a.e + r, and the multiplicative law then holds iff e is a
     two-sided identity of R.  The search exhausts every e in R and verifies
-    multiplicativity on all pairs, so the list is complete.
+    both laws on all pairs of U, each as one array comparison, so the list
+    is complete.
     """
     R, m, U = u.R, u.m, u.U
-    n = R.order
+    A, M = R.np_add, R.np_mul
+    K = _multiples(R, m)
     out = []
-    for e in range(n):
-        img = tuple(R.add(R.smul(a, e), r) for a in range(m) for r in range(n))
-        ok = all(
-            img[U.mul(x, y)] == R.mul(img[x], img[y])
-            for x in range(U.order)
-            for y in range(U.order)
-        )
-        if ok and all(
-            img[U.add(x, y)] == R.add(img[x], img[y])
-            for x in range(U.order)
-            for y in range(U.order)
+    for e in range(R.order):
+        img = A[K[:, e]].ravel()  # img[a*n + r] = a.e + r
+        if np.array_equal(img[U.np_mul], M[img[:, None], img[None, :]]) and np.array_equal(
+            img[U.np_add], A[img[:, None], img[None, :]]
         ):
-            out.append(img)
+            out.append(tuple(img.tolist()))
     return out
 
 

@@ -211,3 +211,39 @@ def test_normal_embeddings_dedup_falls_back_only_on_budget(monkeypatch, Z2, V4):
     monkeypatch.setattr(extensions, "automorphism_group", broken)
     with pytest.raises(RuntimeError):
         enumerate_normal_embeddings(Z2, [V4])
+
+
+def test_semidirect_product_rejects_a_non_homomorphic_action(Z3):
+    bad = GroupAction(Z3, Z3, automorphism_group(Z3), (0, 1, 1))
+    with pytest.raises(AssertionError, match="action is not a hom"):
+        semidirect_product(bad)
+
+
+def _is_hom_pairwise(a):
+    """The law a(xy) = a(x) a(y) on every pair, by index arithmetic in Aut(X)."""
+    B, aut, idx = a.B, a.aut, a.indices
+    return idx[0] == 0 and all(
+        aut.mul(idx[x], idx[y]) == idx[B.mul(x, y)] for x in range(B.order) for y in range(B.order)
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(cyclic(2), cyclic(3)), (dihedral(2), cyclic(5)), (cyclic(4), dihedral(2)),
+                        (symmetric(3), dihedral(2)), (cyclic(3), cyclic(7))]),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_action_check_matches_the_pairwise_law(pair, start_valid, rnd):
+    B, X = pair
+    aut = automorphism_group(X)
+    if start_valid:
+        idx = list(rnd.choice(list(iter_actions(B, X))).indices)
+        if rnd.random() < 0.5:  # one entry off, the identity's included
+            idx[rnd.randrange(B.order)] = rnd.randrange(aut.order)
+    else:
+        idx = [0] + [rnd.randrange(aut.order) for _ in range(B.order - 1)]
+    a = GroupAction(B, X, aut, tuple(idx))
+    if _is_hom_pairwise(a):
+        a.check()
+        assert semidirect_product(a).A.order == B.order * X.order
+    else:
+        with pytest.raises(AssertionError):
+            semidirect_product(a)

@@ -388,3 +388,10 @@ def test_conjugated_generators_give_the_same_table(case, rnd):
     assert group_from_permutations(degree, renamed).table == group_from_permutations(
         degree, gens
     ).table
+
+
+def test_normal_subgroups_match_the_subgroup_filter(catalog):
+    # the reference: every subgroup, kept when it is normal
+    for G in list(catalog) + [symmetric(4), dihedral(6)]:
+        want = [S.elements for S in all_subgroups(G) if S.is_normal()]
+        assert [S.elements for S in normal_subgroups(G)] == want, G.name

@@ -2,11 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from algcomplete.errors import TableInvalid
 from algcomplete.lie import (
+    SECTION_EXPONENT_CAP,
     LieAlgebra,
+    _bracket_respecting_sections,
+    _rref,
     abelian_lie,
     lie_classify,
     lie_derivations,
@@ -154,3 +157,224 @@ def test_bracket_antisymmetry_random_vectors(p, d):
         x = rng.integers(0, p, size=L.dim)
         y = rng.integers(0, p, size=L.dim)
         assert np.array_equal(L.bracket(x, y), (-L.bracket(y, x)) % p)
+
+
+# -- references: the per-row, per-column and per-entry loops -------------------
+
+
+def reference_rref(mat, p):
+    m = mat.copy() % p
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pivot = next((i for i in range(r, rows) if m[i, c] % p != 0), None)
+        if pivot is None:
+            continue
+        m[[r, pivot]] = m[[pivot, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
+        for i in range(rows):
+            if i != r and m[i, c] % p != 0:
+                m[i] = (m[i] - m[i, c] * m[r]) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def reference_nullspace(mat, p):
+    rows, cols = mat.shape
+    if cols == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    if rows == 0:
+        return np.eye(cols, dtype=np.int64)
+    r, pivots = reference_rref(mat, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((cols, len(free)), dtype=np.int64)
+    for k, c in enumerate(free):
+        basis[c, k] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, k] = (-r[i, c]) % p
+    return basis
+
+
+def reference_solve(mat, rhs, p):
+    """One right-hand side at a time."""
+    rows, cols = mat.shape
+    aug = np.concatenate([mat % p, rhs.reshape(rows, 1) % p], axis=1)
+    r, pivots = reference_rref(aug, p)
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.int64)
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i, cols]
+    return x
+
+
+def reference_derivations(L):
+    """(basis, der constants, ad_coords): a loop-built tensor and one solve per column."""
+    p, d = L.p, L.dim
+    c = L._c
+    coeff = np.zeros((d, d, d, d, d), dtype=np.int64)
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                for s in range(d):
+                    coeff[i, j, k, k, s] += c[i, j, s]
+                coeff[i, j, k, :, i] -= c[:, j, k]
+                coeff[i, j, k, :, j] -= c[i, :, k]
+    ns = reference_nullspace(coeff.reshape(d * d * d, d * d) % p, p)
+    m = ns.shape[1]
+    mats = [ns[:, t].reshape(d, d) % p for t in range(m)]
+    sc = np.zeros((m, m, m), dtype=np.int64)
+    for i in range(m):
+        for j in range(i + 1, m):
+            comm = (mats[i] @ mats[j] - mats[j] @ mats[i]) % p
+            coords = reference_solve(ns, comm.reshape(d * d), p)
+            sc[i, j] = coords
+            sc[j, i] = (-coords) % p
+    ad_coords = np.zeros((m, d), dtype=np.int64)
+    for i in range(d):
+        adm = L.ad_matrix(np.eye(d, dtype=np.int64)[i])
+        ad_coords[:, i] = reference_solve(ns, adm.reshape(d * d), p)
+    return tuple(tuple(map(tuple, mm)) for mm in mats), sc, ad_coords
+
+
+def reference_sections(L, data, limit):
+    p, d = L.p, L.dim
+    A = data.ad_coords
+    m = data.der.dim
+    if m == 0:
+        return [np.zeros((d, 0), dtype=np.int64)]
+    cols = []
+    for j in range(m):
+        x = reference_solve(A, np.eye(m, dtype=np.int64)[j], p)
+        if x is None:
+            return []
+        cols.append(x)
+    S0 = np.stack(cols, axis=1) % p
+    Z = reference_nullspace(A, p)
+    z = Z.shape[1]
+    dsc = data.der._c
+    out = []
+    for entries in itertools.product(range(p), repeat=z * m):
+        S = (S0 + Z @ np.asarray(entries, dtype=np.int64).reshape(z, m)) % p
+        if all(
+            np.array_equal((S @ dsc[i, j]) % p, L.bracket(S[:, i], S[:, j]))
+            for i in range(m)
+            for j in range(i + 1, m)
+        ):
+            out.append(S)
+            if len(out) >= limit:
+                break
+    return out
+
+
+def random_matrix(rng, p, rows, cols, r):
+    """A rows x cols matrix over F_p of rank at most r."""
+    return (rng.integers(0, p, size=(rows, r)) @ rng.integers(0, p, size=(r, cols))) % p
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 7), st.integers(0, 7), st.integers(0, 7),
+       st.integers(0, 2**32 - 1))
+@example(5, 0, 4, 2, 0)
+@example(3, 4, 0, 2, 1)
+def test_row_reduction_matches_the_reference(p, rows, cols, r, seed):
+    rng = np.random.default_rng(seed)
+    A = random_matrix(rng, p, rows, cols, r)
+    reduced, pivots = _rref(A, p)
+    ref_reduced, ref_pivots = reference_rref(A, p)
+    assert np.array_equal(reduced, ref_reduced) and pivots == ref_pivots
+    assert np.array_equal(nullspace(A, p), reference_nullspace(A, p))
+    assert rank(A, p) == (len(ref_pivots) if 0 not in A.shape else 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 7), st.integers(0, 7), st.integers(0, 7),
+       st.integers(1, 4), st.integers(0, 2**32 - 1))
+@example(5, 0, 3, 1, 2, 0)
+@example(3, 4, 0, 1, 3, 1)
+def test_batched_solves_match_one_solve_per_column(p, rows, cols, r, k, seed):
+    rng = np.random.default_rng(seed)
+    A = random_matrix(rng, p, rows, cols, r)
+    B = (A @ rng.integers(0, p, size=(cols, k))) % p  # every column consistent
+    X = solve_linear(A, B, p)
+    assert X.shape == (cols, k)
+    for j in range(k):
+        assert np.array_equal(X[:, j], reference_solve(A, B[:, j], p))
+    assert np.array_equal(solve_linear(A, B[:, 0], p), X[:, 0])
+    # make exactly one column inconsistent, when A's columns do not span F_p^rows
+    outside = [e for e in np.eye(rows, dtype=np.int64) if reference_solve(A, e, p) is None]
+    if outside:
+        j = int(rng.integers(k))
+        B[:, j] = outside[0]
+        inconsistent = [reference_solve(A, B[:, i], p) is None for i in range(k)]
+        assert inconsistent == [i == j for i in range(k)]
+        assert solve_linear(A, B, p) is None
+        assert solve_linear(A, B[:, j], p) is None
+
+
+def _direct_sum(*parts):
+    d = sum(L.dim for L in parts)
+    c = np.zeros((d, d, d), dtype=np.int64)
+    off = 0
+    for L in parts:
+        k = L.dim
+        c[off : off + k, off : off + k, off : off + k] = L._c
+        off += k
+    return LieAlgebra.create(parts[0].p, c)
+
+
+def heisenberg(p):
+    """[x, y] = z: a center and outer derivations (Der has dimension 6)."""
+    c = np.zeros((3, 3, 3), dtype=np.int64)
+    c[0, 1, 2], c[1, 0, 2] = 1, p - 1
+    return LieAlgebra.create(p, c, f"heis(F{p})")
+
+
+REFERENCE_ALGEBRAS = [
+    sl2(5), sl2(7), sl2(3), sl2(2), _direct_sum(sl2(5), sl2(5)), _direct_sum(sl2(7), sl2(7)),
+    abelian_lie(1, 2), abelian_lie(2, 3), abelian_lie(3, 5), nonabelian2(2), nonabelian2(7),
+    heisenberg(3), heisenberg(5), _direct_sum(sl2(5), abelian_lie(1, 5)),
+]
+
+
+@pytest.mark.parametrize("L", REFERENCE_ALGEBRAS, ids=lambda L: L.name or f"sum-dim-{L.dim}")
+def test_derivation_data_matches_the_reference(L):
+    data = lie_derivations(L)
+    basis, sc, ad_coords = reference_derivations(L)
+    assert data.basis == basis
+    assert np.array_equal(data.der._c, sc)
+    assert np.array_equal(data.ad_coords, ad_coords)
+    limit = L.p ** SECTION_EXPONENT_CAP
+    sections = _bracket_respecting_sections(L, data, limit)
+    reference = reference_sections(L, data, limit)
+    assert [S.tolist() for S in sections] == [S.tolist() for S in reference]
+
+
+def test_heisenberg_has_center_and_outer_derivations():
+    rep = lie_classify(heisenberg(5))
+    assert (rep.center_dim, rep.der_dim) == (1, 6)
+    assert not rep.proto_complete and not rep.strong_complete
+
+
+def _monomial_change(L, perm, scalars):
+    """Constants in the basis f_i = l_i e_perm(i)."""
+    p, c = L.p, L._c
+    lam = np.asarray(scalars, dtype=np.int64)
+    inv = np.asarray([pow(int(x), -1, p) for x in lam], dtype=np.int64)
+    cp = c[np.ix_(perm, perm, perm)]
+    return LieAlgebra.create(p, lam[:, None, None] * lam[None, :, None] * cp * inv[None, None, :])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(REFERENCE_ALGEBRAS), st.randoms(use_true_random=False))
+def test_monomial_change_of_basis_keeps_every_verdict(L, rnd):
+    perm = list(range(L.dim))
+    rnd.shuffle(perm)
+    M = _monomial_change(L, perm, [rnd.randrange(1, L.p) for _ in range(L.dim)])
+    fields = ("dim", "center_dim", "der_dim", "is_perfect", "proto_complete", "strong_complete")
+    a, b = lie_classify(L), lie_classify(M)
+    assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from algcomplete.errors import TableInvalid
 from algcomplete.rings import (
     FiniteRing,
+    Unitalization,
+    _ring_retractions,
     ring_classify,
     ring_zn,
     subring,
@@ -130,3 +132,91 @@ def test_smul_matches_repeated_addition(n, k):
     R = ring_zn(n)
     for a in range(n):
         assert R.smul(k, a) == (k * a) % n
+
+
+# -- references: the tables and the retraction check, one entry at a time ------
+
+
+def reference_unitalization(R):
+    m = R.additive_exponent
+    n = R.order
+    size = m * n
+
+    def add(x, y):
+        a, r = divmod(x, n)
+        b, s = divmod(y, n)
+        return ((a + b) % m) * n + R.add(r, s)
+
+    def mul(x, y):
+        a, r = divmod(x, n)
+        b, s = divmod(y, n)
+        val = R.add(R.add(R.smul(a, s), R.smul(b, r)), R.mul(r, s))
+        return ((a * b) % m) * n + val
+
+    at = tuple(tuple(add(x, y) for y in range(size)) for x in range(size))
+    mt = tuple(tuple(mul(x, y) for y in range(size)) for x in range(size))
+    name = f"Z{m}|x{R.name}" if R.name else None
+    return Unitalization(R, m, FiniteRing.create(at, mt, name))
+
+
+def reference_retractions(u):
+    R, m, U = u.R, u.m, u.U
+    n = R.order
+    out = []
+    for e in range(n):
+        img = tuple(R.add(R.smul(a, e), r) for a in range(m) for r in range(n))
+        ok = all(
+            img[U.mul(x, y)] == R.mul(img[x], img[y])
+            for x in range(U.order)
+            for y in range(U.order)
+        )
+        if ok and all(
+            img[U.add(x, y)] == R.add(img[x], img[y])
+            for x in range(U.order)
+            for y in range(U.order)
+        ):
+            out.append(img)
+    return out
+
+
+REFERENCE_RINGS = (
+    [ring_zn(n) for n in range(1, 13)]
+    + [zero_ring(n) for n in (2, 3, 4, 6)]
+    + [
+        subring(ring_zn(8), [0, 2, 4, 6]),
+        subring(ring_zn(12), [0, 4, 8]),
+        subring(ring_zn(12), [0, 3, 6, 9]),
+        subring(ring_zn(10), [0, 5]),
+    ]
+)
+
+
+@pytest.mark.parametrize("R", REFERENCE_RINGS, ids=lambda R: R.name or f"subring-{R.order}")
+def test_unitalization_and_retractions_match_the_reference(R):
+    u, ref = unitalization(R), reference_unitalization(R)
+    assert (u.m, u.U.name) == (ref.m, ref.U.name)
+    assert u.U.add_table == ref.U.add_table
+    assert u.U.mul_table == ref.U.mul_table
+    assert _ring_retractions(u) == reference_retractions(ref)
+
+
+def relabel_ring(R, new):
+    """R on the labels new[i], with new[0] = 0."""
+    n = R.order
+    add, mul = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            add[new[a]][new[b]] = new[R.add(a, b)]
+            mul[new[a]][new[b]] = new[R.mul(a, b)]
+    return FiniteRing.create(add, mul, R.name)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(REFERENCE_RINGS), st.randoms(use_true_random=False))
+def test_relabelling_keeps_every_ring_verdict(R, rnd):
+    new = [0] + rnd.sample(range(1, R.order), R.order - 1)
+    a, b = ring_classify(R), ring_classify(relabel_ring(R, new))
+    assert b.unit == (None if a.unit is None else new[a.unit])
+    fields = ("name", "order", "has_unit", "proto_complete", "complete", "strong_complete",
+              "unitalization_splits", "unitalization_order")
+    assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
