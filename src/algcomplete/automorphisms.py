@@ -121,9 +121,6 @@ class AutomorphismGroup:
         name = f"Aut({self.base.name})" if self.base.name else None
         return FiniteGroup(table, name)
 
-    def apply(self, i: int, x: int) -> int:
-        return self.elems[i][x]
-
 
 _AUT_CACHE: dict[FiniteGroup, AutomorphismGroup] = {}
 

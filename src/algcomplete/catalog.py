@@ -9,12 +9,10 @@ assumed by the engine.
 
 from __future__ import annotations
 
-import itertools
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ConfigInvalid
 from .groups import (
-    DEFAULT_ELEMENT_CAP,
     FiniteGroup,
     Subgroup,
     direct_product,
@@ -177,7 +175,7 @@ def build_catalog(max_order: int = 24) -> tuple[FiniteGroup, ...]:
 # -- catalog files -------------------------------------------------------------
 
 
-def resolve_catalog(entries: Sequence[dict], cap: int = DEFAULT_ELEMENT_CAP) -> list[FiniteGroup]:
+def resolve_catalog(entries: Sequence[dict]) -> list[FiniteGroup]:
     """Materialize a list of catalog entries; later recipes may name earlier ones."""
     named: dict[str, FiniteGroup] = {}
     out: list[FiniteGroup] = []
@@ -187,17 +185,17 @@ def resolve_catalog(entries: Sequence[dict], cap: int = DEFAULT_ELEMENT_CAP) -> 
         name = entry["name"]
         if name in named:
             raise ConfigInvalid(f"duplicate catalog name: {name}")
-        G = _resolve_entry(entry, named, cap)
+        G = _resolve_entry(entry, named)
         G = FiniteGroup(G.table, name)
         named[name] = G
         out.append(G)
     return out
 
 
-def _resolve_entry(entry: dict, named: dict, cap: int) -> FiniteGroup:
+def _resolve_entry(entry: dict, named: dict) -> FiniteGroup:
     name = entry["name"]
     if "cayley" in entry or "permutations" in entry:
-        return load_group(entry, cap=cap)
+        return load_group(entry)
     if "cyclic" in entry:
         return cyclic(int(entry["cyclic"]))
     if "dihedral" in entry:
@@ -210,14 +208,14 @@ def _resolve_entry(entry: dict, named: dict, cap: int) -> FiniteGroup:
         return alternating(int(entry["alternating"]))
     if "product" in entry:
         a, b = entry["product"]
-        return direct_product(_lookup(named, a), _lookup(named, b), cap=cap)[0]
+        return direct_product(_lookup(named, a), _lookup(named, b))[0]
     if "semidirect" in entry:
         spec = entry["semidirect"]
         X = _lookup(named, spec["kernel"])
         B = _lookup(named, spec["actor"])
         aut = automorphism_group(X)
         a = GroupAction.create(B, X, aut, tuple(spec["action"]))
-        return semidirect_product(a, cap=cap).A
+        return semidirect_product(a).A
     if "quotient" in entry:
         spec = entry["quotient"]
         parent = _lookup(named, spec["parent"])

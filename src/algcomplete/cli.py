@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Optional, Sequence
 
-from .errors import AlgebraError, ConfigInvalid, SearchBudgetExceeded
+from .errors import AlgebraError, ConfigInvalid, SearchBudgetExceeded, SizeCap
 from .groups import FiniteGroup, direct_product
 from .catalog import alternating, build_catalog, cyclic, resolve_catalog, symmetric
 from .completeness import (
@@ -153,12 +153,12 @@ _JOBS = {"classify": _job_classify, "oracle-crosscheck": _job_crosscheck, "audit
 
 
 def _naming_group(job, args) -> dict:
-    """job(args), with the group's name put before a budget-exhaustion message."""
+    """job(args), with the group's name put before a budget-exhaustion or size-cap message."""
     try:
         return job(args)
-    except SearchBudgetExceeded as exc:
+    except (SearchBudgetExceeded, SizeCap) as exc:
         G = args[0]
-        raise SearchBudgetExceeded(f"{G.name or f'group-of-order-{G.order}'}: {exc}") from None
+        raise type(exc)(f"{G.name or f'group-of-order-{G.order}'}: {exc}") from None
 
 
 def _run_groups(mode: str, catalog, extra, budget, jobs: int) -> list[dict]:
@@ -211,7 +211,7 @@ def run_report(argv: Optional[Sequence[str]] = None) -> int:
     try:
         catalog = _load_catalog(args.catalog)
         universe = _load_catalog(args.universe) if args.universe else catalog
-    except ConfigInvalid as exc:
+    except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {

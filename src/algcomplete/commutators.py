@@ -66,25 +66,29 @@ def is_characteristic(G: FiniteGroup, S: Subgroup, aut_perms) -> bool:
     return all(all(p[s] in eset for s in S.elements) for p in aut_perms)
 
 
-def find_retraction(
-    G: FiniteGroup, S: Subgroup, budget: Optional[int] = None
-) -> Optional[GroupHom]:
-    """Some hom r: G -> S_as_group with r|S = id, or a verified None.
+def embedding_retraction(h: GroupHom, budget: Optional[_Budget] = None) -> Optional[GroupHom]:
+    """Some hom r: Y -> X with r.h = id_X for the embedding h: X -> Y, or a verified None.
 
-    Reuses the constrained hom search: elements of S are forced to
-    themselves, the remaining generators of G range over all of S.
+    Reuses the constrained hom search: the images of X's generators are
+    forced to their preimages, the remaining generators of Y range over all
+    of X.
     """
-    H, incl = S.as_group()
-    local = {e: i for i, e in enumerate(S.elements)}
-    gens = greedy_generators(G, seed=[incl(g) for g in H.generators])
-    b = _Budget(budget) if budget is not None else None
-    found = find_constrained_hom(G, H, gens, {e: [i] for e, i in local.items()}, budget=b)
+    X, Y = h.domain, h.codomain
+    gens = greedy_generators(Y, seed=[h(x) for x in X.generators])
+    found = find_constrained_hom(Y, X, gens, {h(x): [x] for x in range(X.order)}, budget=budget)
     if not found:
         return None
     img = found[0]
-    # the search fixes generators of S; that forces r|S = id
-    assert all(img[e] == local[e] for e in S.elements)
-    return GroupHom(G, H, img)
+    # the search fixes h(gens of X); that forces r.h = id
+    assert all(img[h(x)] == x for x in range(X.order))
+    return GroupHom(Y, X, img)
+
+
+def find_retraction(
+    G: FiniteGroup, S: Subgroup, budget: Optional[int] = None
+) -> Optional[GroupHom]:
+    """Some hom r: G -> S_as_group with r|S = id: the retraction of S's inclusion."""
+    return embedding_retraction(S.as_group()[1], _Budget(budget) if budget is not None else None)
 
 
 def subgroup_verdict(

@@ -27,11 +27,10 @@ from .groups import (
     _Budget,
     direct_product,
     find_constrained_hom,
-    greedy_generators,
     normal_subgroups,
     quotient,
 )
-from .commutators import center, is_characteristic
+from .commutators import center, embedding_retraction, is_characteristic
 from .automorphisms import (
     automorphism_group,
     conjugation_indices,
@@ -46,18 +45,6 @@ from .extensions import (
 )
 
 
-# -- retraction searches ------------------------------------------------------
-
-
-def _embedding_retraction(Y: FiniteGroup, h: GroupHom, budget: Optional[_Budget]):
-    """A retraction r: Y -> X of the embedding h, or None."""
-    X = h.domain
-    forced = {h(x): [x] for x in range(X.order)}
-    gens = greedy_generators(Y, seed=[h(x) for x in X.generators])
-    found = find_constrained_hom(Y, X, gens, forced, budget=budget)
-    return found[0] if found else None
-
-
 # -- theorem-based classification ---------------------------------------------
 
 
@@ -70,8 +57,8 @@ class OracleVerdict:
     bound: int
     universe_id: str
     witness: Optional[dict] = None
-    # the middle group of a failing split extension; never reported
-    middle: Optional[FiniteGroup] = field(default=None, compare=False, repr=False)
+    # the action of a failing split extension; never reported
+    action: Optional[GroupAction] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -155,7 +142,6 @@ def split_extension_oracles(
     universe: Sequence[FiniteGroup],
     universe_id: str = "universe",
     budget: Optional[int] = None,
-    cap: int = DEFAULT_ELEMENT_CAP,
 ) -> tuple[OracleVerdict, OracleVerdict]:
     """The proto and strong oracle verdicts from one pass over the split extensions.
 
@@ -168,8 +154,9 @@ def split_extension_oracles(
 
     A retraction is determined by its values on kappa(gens of G) and
     beta(gens of B), so the search reads only A's right multiplication by
-    those (`semidirect_columns`), and G's own schedule levels serve every
-    extension.  The full middle group is built only for a witness.
+    those (`semidirect_columns`, k*|A| entries), and G's own schedule levels
+    serve every extension.  No middle group is built, so no element cap
+    applies: a failing verdict carries its extension's action instead.
     """
     b = _Budget(budget if budget is not None else DEFAULT_SEARCH_BUDGET,
                 "split-extension oracles")
@@ -177,24 +164,22 @@ def split_extension_oracles(
     fixed = {x: [x] for x in range(G.order)}  # a retraction fixes kappa(x) = x
     strong = None
     for B in universe:
-        if B.order > bound or B.order * G.order > cap:
+        if B.order > bound:
             continue
         for a in iter_actions(B, G):
             found = find_constrained_hom(semidirect_columns(a, kernel_levels), G, allowed=fixed,
                                          budget=b, limit=1 if strong is not None else 2)
             if not found:
-                A = semidirect_product(a, cap=cap).A
                 w = _action_witness(a)
                 w["failure"] = "no retraction"
-                proto = OracleVerdict("proto", False, bound, universe_id, w, A)
+                proto = OracleVerdict("proto", False, bound, universe_id, w, a)
                 if strong is None:
-                    strong = OracleVerdict("strong", False, bound, universe_id, dict(w), A)
+                    strong = OracleVerdict("strong", False, bound, universe_id, dict(w), a)
                 return proto, strong
             if strong is None and len(found) > 1:
-                A = semidirect_product(a, cap=cap).A
                 w = _action_witness(a)
                 w["failure"] = "retraction not unique"
-                strong = OracleVerdict("strong", False, bound, universe_id, w, A)
+                strong = OracleVerdict("strong", False, bound, universe_id, w, a)
     proto = OracleVerdict("proto", True, bound, universe_id, None)
     return proto, strong or OracleVerdict("strong", True, bound, universe_id, None)
 
@@ -206,7 +191,6 @@ def oracle_completeness(
     universe: Sequence[FiniteGroup],
     universe_id: str = "universe",
     budget: Optional[int] = None,
-    cap: int = DEFAULT_ELEMENT_CAP,
 ) -> OracleVerdict:
     """Check the chosen completeness definition by bounded exhaustive search.
 
@@ -221,12 +205,12 @@ def oracle_completeness(
     if mode not in ("proto", "strong", "complete"):
         raise ValueError(f"unknown oracle mode: {mode}")
     if mode in ("proto", "strong"):
-        proto, strong = split_extension_oracles(G, bound, universe, universe_id, budget, cap)
+        proto, strong = split_extension_oracles(G, bound, universe, universe_id, budget)
         return proto if mode == "proto" else strong
     b = _Budget(budget if budget is not None else DEFAULT_SEARCH_BUDGET, "normal embeddings")
     members = [Y for Y in universe if Y.order <= bound * G.order]
     for Y, h in enumerate_normal_embeddings(G, members):
-        if _embedding_retraction(Y, h, b) is None:
+        if embedding_retraction(h, b) is None:
             w = {
                 "kind": "normal-embedding",
                 "target": Y.name or f"order-{Y.order}",
@@ -328,26 +312,27 @@ def implication_audit(
     universe_id: str = "universe",
     budget: Optional[int] = None,
     factors: Optional[tuple[FiniteGroup, FiniteGroup]] = None,
-    cap: int = DEFAULT_ELEMENT_CAP,
 ) -> ImplicationAudit:
     """Run every classifier and oracle on G and flag violated implications.
 
     The complete-oracle universe is augmented with the proto witness's
     middle group and, for centerless G, with Aut(G): without those members
     a catalog-only search can miss the refuting embedding and a bounded
-    "complete" pass would contradict a proto failure.
+    "complete" pass would contradict a proto failure.  The middle group is
+    built here, by `semidirect_product`, so one over DEFAULT_ELEMENT_CAP
+    elements raises SizeCap.
     """
     rep = classify_completeness(G, budget=budget)
-    op, os_ = split_extension_oracles(G, bound, universe, universe_id, budget, cap)
+    op, os_ = split_extension_oracles(G, bound, universe, universe_id, budget)
     extra: list[FiniteGroup] = []
-    if op.middle is not None:
-        extra.append(op.middle)
+    if op.action is not None:
+        extra.append(semidirect_product(op.action).A)
     if rep.center_order == 1:
         aut = automorphism_group(G)
         if aut.order <= DEFAULT_ELEMENT_CAP:
             extra.append(aut.carrier)
     oc = oracle_completeness(
-        G, "complete", bound, list(universe) + extra, universe_id + "+witnesses", budget, cap
+        G, "complete", bound, list(universe) + extra, universe_id + "+witnesses", budget
     )
     violations = []
     if rep.strong_complete and not oc.flag:
@@ -369,7 +354,7 @@ def implication_audit(
     if factors is not None and oc.flag:
         for F in factors:
             fv = oracle_completeness(
-                F, "complete", bound, list(universe) + extra, universe_id + "+witnesses", budget, cap
+                F, "complete", bound, list(universe) + extra, universe_id + "+witnesses", budget
             )
             if not fv.flag:
                 violations.append("bounded-complete product with a refuted factor")

@@ -25,7 +25,7 @@ class ClosureTooLarge(AlgebraError):
 
 
 class SizeCap(AlgebraError):
-    """A constructed group would exceed the configured element cap."""
+    """A constructed group would exceed the element cap, DEFAULT_ELEMENT_CAP."""
 
 
 class SearchBudgetExceeded(AlgebraError):

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import SearchBudgetExceeded, SizeCap
+from .errors import SearchBudgetExceeded, SizeCap, TableInvalid
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     DEFAULT_SEARCH_BUDGET,
@@ -26,8 +25,7 @@ class GroupAction:
     """A homomorphism B -> Aut(X), stored as indices into the automorphism list.
 
     Storing indices instead of a GroupHom into the Aut carrier keeps actions
-    usable when the carrier table would blow the element cap; `act` exposes
-    the carrier-based homomorphism on demand.
+    usable when the carrier table would blow the element cap.
     """
 
     B: FiniteGroup
@@ -42,23 +40,26 @@ class GroupAction:
         return a
 
     def check(self) -> np.ndarray:
-        """Assert that b -> a(b) is a homomorphism, checked on the generators of B.
+        """Check that b -> a(b) is a homomorphism on the generators of B; raise TableInvalid.
 
         Returns q with q[b] = a(b^-1) as a permutation array of X.  The law
         a((g b)^-1) = a(b^-1) a(g^-1) is compared for one generator g and
         every b at once, as q[g b] = q[b] o q[g].
         """
-        B, idx = self.B, self.indices
-        assert len(idx) == B.order and idx[0] == 0
+        B, idx, n_aut = self.B, self.indices, self.aut.order
+        if len(idx) != B.order:
+            raise TableInvalid("action must have one entry per element of B", (len(idx),))
+        bad = [i for i in idx if not 0 <= i < n_aut]
+        if bad:
+            raise TableInvalid("action index out of range", (bad[0],))
+        if idx[0] != 0:
+            raise TableInvalid("action must send identity to identity")
         elems, binv = self.aut.elems, B.inverses
         q = np.asarray([elems[idx[binv[b]]] for b in range(B.order)], dtype=np.int64)
         for g in B.generators:
-            assert np.array_equal(q[B.np_table[g]], q[:, q[g]]), "action is not a hom"
+            if not np.array_equal(q[B.np_table[g]], q[:, q[g]]):
+                raise TableInvalid("action is not a hom", (g,))
         return q
-
-    @cached_property
-    def act(self) -> GroupHom:
-        return GroupHom(self.B, self.aut.carrier, self.indices)
 
     def apply(self, b: int, x: int) -> int:
         return self.aut.elems[self.indices[b]][x]
@@ -86,8 +87,8 @@ def iter_actions(
 class SplitExtension:
     """X --kappa--> A --alpha--> B with a section beta of alpha.
 
-    Invariants (checked in `create`): alpha.beta = id_B, kappa injective,
-    im(kappa) = ker(alpha) and is normal in A.
+    Invariants (checked in `create`, which raises TableInvalid): alpha.beta =
+    id_B, kappa injective, im(kappa) = ker(alpha) and is normal in A.
     """
 
     X: FiniteGroup
@@ -101,18 +102,21 @@ class SplitExtension:
     @staticmethod
     def create(kappa: GroupHom, alpha: GroupHom, beta: GroupHom, action=None) -> "SplitExtension":
         X, A, B = kappa.domain, kappa.codomain, alpha.codomain
-        assert alpha.domain == A and beta.domain == B and beta.codomain == A
-        assert all(alpha(beta(b)) == b for b in range(B.order)), "beta is not a section"
-        assert kappa.is_injective, "kappa is not mono"
+        if not (alpha.domain == A and beta.domain == B and beta.codomain == A):
+            raise TableInvalid("kappa, alpha and beta do not compose")
+        if any(alpha(beta(b)) != b for b in range(B.order)):
+            raise TableInvalid("beta is not a section")
+        if not kappa.is_injective:
+            raise TableInvalid("kappa is not mono")
         ker = alpha.kernel()
-        assert tuple(sorted(set(kappa.image))) == ker.elements, "im(kappa) != ker(alpha)"
-        assert ker.is_normal()
+        if tuple(sorted(set(kappa.image))) != ker.elements:
+            raise TableInvalid("im(kappa) != ker(alpha)")
+        if not ker.is_normal():
+            raise TableInvalid("im(kappa) is not normal")
         return SplitExtension(X, A, B, kappa, alpha, beta, action)
 
 
-def semidirect_product(
-    a: GroupAction, cap: int = DEFAULT_ELEMENT_CAP, name: Optional[str] = None
-) -> SplitExtension:
+def semidirect_product(a: GroupAction, name: Optional[str] = None) -> SplitExtension:
     """B acting on X, carrier B x X with (b,x)(b',x') = (bb', a(b'^-1)(x) x').
 
     Element (b,x) is encoded as b*|X| + x, so kappa(x) = x and the identity
@@ -124,8 +128,8 @@ def semidirect_product(
     B, X = a.B, a.X
     nb, m = B.order, X.order
     n = nb * m
-    if n > cap:
-        raise SizeCap(f"semidirect product order {n} exceeds cap {cap}")
+    if n > DEFAULT_ELEMENT_CAP:
+        raise SizeCap(f"semidirect product order {n} exceeds cap {DEFAULT_ELEMENT_CAP}")
     xt = X.np_table
     # inner[b', x, x'] = X.table[a(b'^-1)(x)][x']
     inner = xt[a.check()]  # shape (nb, m, m)
@@ -150,10 +154,11 @@ def semidirect_columns(a: GroupAction, kernel_levels: Sequence = ()) -> HomDomai
     Since kappa(x) = x, the search schedules over kappa(gens of X) are X's
     own schedules over its generators; pass them as `kernel_levels`.
 
-    The split-extension invariants are asserted on the generators: beta is a
-    section, kappa is injective, im(kappa) = ker(alpha), and N g = g N for
-    N = im(kappa) and every generator g.  The action is checked to be a
-    homomorphism, which is what makes these columns those of a group.
+    The split-extension invariants are checked on the generators, raising
+    TableInvalid: beta is a section, kappa is injective, im(kappa) =
+    ker(alpha), and N g = g N for N = im(kappa) and every generator g.  The
+    action is checked to be a homomorphism, which is what makes these
+    columns those of a group.
     """
     inverse_perms = a.check()
     B, X = a.B, a.X
@@ -169,18 +174,22 @@ def semidirect_columns(a: GroupAction, kernel_levels: Sequence = ()) -> HomDomai
         cols.append((beta[bt[:, b0]][:, None] + inverse_perms[b0]).ravel())
     image = np.zeros(n, dtype=bool)
     image[kappa] = True
-    assert np.array_equal(alpha[beta], np.arange(nb)), "beta is not a section"
-    assert np.count_nonzero(image) == m, "kappa is not mono"
-    assert np.array_equal(image, alpha == 0), "im(kappa) != ker(alpha)"
+    if not np.array_equal(alpha[beta], np.arange(nb)):
+        raise TableInvalid("beta is not a section")
+    if np.count_nonzero(image) != m:
+        raise TableInvalid("kappa is not mono")
+    if not np.array_equal(image, alpha == 0):
+        raise TableInvalid("im(kappa) != ker(alpha)")
     for g, col in zip(gens, cols):
         coset = np.zeros(n, dtype=bool)
         coset[col[kappa]] = True  # N g
         # g N is the fibre of alpha over alpha(g), since a(1) is the identity
-        assert np.array_equal(coset, alpha == alpha[g]), "im(kappa) is not normal"
+        if not np.array_equal(coset, alpha == alpha[g]):
+            raise TableInvalid("im(kappa) is not normal", (g,))
     return HomDomain(n, tuple(gens), tuple(c.tolist() for c in cols), tuple(kernel_levels))
 
 
-def holonomy(G: FiniteGroup, cap: int = DEFAULT_ELEMENT_CAP) -> SplitExtension:
+def holonomy(G: FiniteGroup) -> SplitExtension:
     """The generic split extension G -> Aut(G) |x G -> Aut(G).
 
     Built from the tautological action; the evaluation map p2(a, x) = a.c(x)
@@ -193,7 +202,7 @@ def holonomy(G: FiniteGroup, cap: int = DEFAULT_ELEMENT_CAP) -> SplitExtension:
     carrier = aut.carrier
     a = GroupAction(carrier, G, aut, tuple(range(aut.order)))
     name = f"Hol({G.name})" if G.name else None
-    e = semidirect_product(a, cap=cap, name=name)
+    e = semidirect_product(a, name=name)
     m = G.order
     cidx = conjugation_indices(G, aut)
     p2 = GroupHom.create(
@@ -218,22 +227,19 @@ def induced_action(e: SplitExtension) -> GroupAction:
 
 
 def classify_into_generic(
-    e: SplitExtension,
-    cap: int = DEFAULT_ELEMENT_CAP,
-    budget: Optional[int] = None,
-    verify_unique: bool = True,
+    e: SplitExtension, budget: Optional[int] = None
 ) -> tuple[GroupHom, GroupHom]:
     """The unique morphism (u, v) from e into the generic extension of its kernel.
 
     v sends b to conjugation-by-beta(b) on im(kappa); u factors a as
     beta(alpha(a)) . kappa(x) and maps it to the corresponding holonomy pair.
-    With verify_unique the terminality claim is checked by exhausting all
-    kappa-compatible homomorphisms A -> Hol(X).
+    The terminality claim is checked by exhausting all kappa-compatible
+    homomorphisms A -> Hol(X).
     """
     X, A, B = e.X, e.A, e.B
     act = induced_action(e)
     aut = act.aut
-    hol = holonomy(X, cap=cap)
+    hol = holonomy(X)
     v = GroupHom.create(B, aut.carrier, act.indices)
     m = X.order
     local = {e.kappa(x): x for x in range(m)}
@@ -247,42 +253,41 @@ def classify_into_generic(
     assert all(u(e.kappa(x)) == hol.kappa(x) for x in range(m))
     assert all(hol.alpha(u(a)) == v(e.alpha(a)) for a in range(A.order))
     assert all(u(e.beta(b)) == hol.beta(v(b)) for b in range(B.order))
-    if verify_unique:
-        count = 0
-        gens = [e.kappa(x) for x in X.generators] + [e.beta(b) for b in B.generators]
-        forced = {e.kappa(x): [hol.kappa(x)] for x in range(m)}
-        b = _Budget(budget) if budget is not None else None
-        for img in iter_hom_images(A, hol.A, gens, forced, b):
-            up = GroupHom(A, hol.A, img)
-            vp = tuple(hol.alpha(up(e.beta(bb))) for bb in range(B.order))
-            if all(hol.alpha(up(a)) == vp[e.alpha(a)] for a in range(A.order)) and all(
-                up(e.beta(bb)) == hol.beta(vp[bb]) for bb in range(B.order)
-            ):
-                count += 1
-        assert count == 1, f"expected a unique classifying morphism, found {count}"
+    count = 0
+    gens = [e.kappa(x) for x in X.generators] + [e.beta(b) for b in B.generators]
+    forced = {e.kappa(x): [hol.kappa(x)] for x in range(m)}
+    b = _Budget(budget) if budget is not None else None
+    for img in iter_hom_images(A, hol.A, gens, forced, b):
+        up = GroupHom(A, hol.A, img)
+        vp = tuple(hol.alpha(up(e.beta(bb))) for bb in range(B.order))
+        if all(hol.alpha(up(a)) == vp[e.alpha(a)] for a in range(A.order)) and all(
+            up(e.beta(bb)) == hol.beta(vp[bb]) for bb in range(B.order)
+        ):
+            count += 1
+    assert count == 1, f"expected a unique classifying morphism, found {count}"
     return u, v
 
 
 def enumerate_split_extensions(
-    X: FiniteGroup,
-    B: FiniteGroup,
-    cap: int = DEFAULT_ELEMENT_CAP,
-    budget: Optional[int] = None,
+    X: FiniteGroup, B: FiniteGroup, budget: Optional[int] = None
 ) -> list[SplitExtension]:
     """One split extension per action of B on X, in canonical action order."""
-    return [semidirect_product(a, cap=cap) for a in iter_actions(B, X, budget=budget)]
+    return [semidirect_product(a) for a in iter_actions(B, X, budget=budget)]
+
+
+_DEDUP_AUT_CAP = 10000
 
 
 def enumerate_normal_embeddings(
     X: FiniteGroup,
     universe: Sequence[FiniteGroup],
     budget: Optional[int] = None,
-    dedup_aut_cap: int = 10000,
 ) -> list[tuple[FiniteGroup, GroupHom]]:
     """Every injective hom X -> Y with normal image, over all Y in the universe.
 
     Deduplicated up to Aut(Y)-conjugacy of the image when Aut(Y) is small
-    enough to enumerate, else up to image-set equality (the images are
+    enough to enumerate (at most _DEDUP_AUT_CAP automorphisms, found within
+    the default budget), else up to image-set equality (the images are
     normal, so inner conjugacy never separates them anyway).
     """
     out = []
@@ -306,7 +311,7 @@ def enumerate_normal_embeddings(
                     aut_perms = automorphism_group(Y).elems
                 except SearchBudgetExceeded:
                     aut_perms = ()
-                if len(aut_perms) > dedup_aut_cap:
+                if len(aut_perms) > _DEDUP_AUT_CAP:
                     aut_perms = ()
             key = image_set
             if aut_perms:

@@ -85,10 +85,10 @@ class FiniteGroup:
         object.__setattr__(self, "_hash", None)
 
     @staticmethod
-    def from_table(table, name: Optional[str] = None, validate: bool = True) -> "FiniteGroup":
+    def from_table(table, name: Optional[str] = None) -> "FiniteGroup":
+        """A group on a validated copy of `table` (`validate_table`)."""
         tbl = tuple(tuple(int(v) for v in row) for row in table)
-        if validate:
-            validate_table(tbl)
+        validate_table(tbl)
         return FiniteGroup(tbl, name)
 
     @staticmethod
@@ -187,9 +187,6 @@ class FiniteGroup:
         return f"FiniteGroup({label}, order={self.order})"
 
 
-TRIVIAL_GROUP = FiniteGroup(((0,),), "1")
-
-
 # -- closures and generating sets -----------------------------------------
 
 
@@ -275,10 +272,6 @@ class Subgroup:
         if parent.order % len(elems) != 0:
             raise NotASubgroup("order does not divide parent order")
         return Subgroup(parent, elems)
-
-    @staticmethod
-    def generated(parent: FiniteGroup, gens: Iterable[int]) -> "Subgroup":
-        return Subgroup(parent, subgroup_closure(parent, gens))
 
     @property
     def order(self) -> int:
@@ -405,10 +398,6 @@ class GroupHom:
     def identity(G: FiniteGroup) -> "GroupHom":
         return GroupHom(G, G, tuple(range(G.order)))
 
-    @staticmethod
-    def zero(domain: FiniteGroup, codomain: FiniteGroup) -> "GroupHom":
-        return GroupHom(domain, codomain, (0,) * domain.order)
-
     def __call__(self, x: int) -> int:
         return self.image[x]
 
@@ -435,14 +424,6 @@ class GroupHom:
 
     def image_subgroup(self) -> Subgroup:
         return Subgroup(self.codomain, tuple(sorted(set(self.image))))
-
-    def inverse(self) -> "GroupHom":
-        if not self.is_bijective:
-            raise TableInvalid("not bijective")
-        back = [0] * self.codomain.order
-        for i, v in enumerate(self.image):
-            back[v] = i
-        return GroupHom(self.codomain, self.domain, tuple(back))
 
 
 # -- generic backtracking hom search ----------------------------------------
@@ -635,7 +616,7 @@ def is_isomorphic(
 # -- constructions -----------------------------------------------------------
 
 
-def load_group(source: dict, cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
+def load_group(source: dict) -> FiniteGroup:
     """Build a validated group from the JSON input schema.
 
     Accepts {"cayley": [[...]]} or
@@ -647,8 +628,8 @@ def load_group(source: dict, cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
     if "cayley" in source:
         table = [list(row) for row in source["cayley"]]
         n = len(table)
-        if n > cap:
-            raise SizeCap(f"group order {n} exceeds cap {cap}")
+        if n > DEFAULT_ELEMENT_CAP:
+            raise SizeCap(f"group order {n} exceeds cap {DEFAULT_ELEMENT_CAP}")
         ident = None
         for e in range(n):
             try:
@@ -665,10 +646,10 @@ def load_group(source: dict, cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
             perm = list(range(n))
             perm[0], perm[ident] = ident, 0  # relabel: swap 0 <-> identity
             table = [[perm.index(table[perm[i]][perm[j]]) for j in range(n)] for i in range(n)]
-        return FiniteGroup.from_table(table, name, validate=True)
+        return FiniteGroup.from_table(table, name)
     if "permutations" in source:
         spec = source["permutations"]
-        return group_from_permutations(spec["degree"], spec["generators"], name=name, cap=cap)
+        return group_from_permutations(spec["degree"], spec["generators"], name=name)
     raise TableInvalid("source must contain 'cayley' or 'permutations'")
 
 
@@ -716,16 +697,14 @@ def group_from_permutations(
     return FiniteGroup(tuple(zip(*cols)), name)
 
 
-def direct_product(
-    G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_ELEMENT_CAP, name: Optional[str] = None
-):
+def direct_product(G: FiniteGroup, H: FiniteGroup, name: Optional[str] = None):
     """G x H with pairs indexed lexicographically.
 
     Returns (P, (proj1, proj2), (inj1, inj2)).
     """
     n, m = G.order, H.order
-    if n * m > cap:
-        raise SizeCap(f"product order {n * m} exceeds cap {cap}")
+    if n * m > DEFAULT_ELEMENT_CAP:
+        raise SizeCap(f"product order {n * m} exceeds cap {DEFAULT_ELEMENT_CAP}")
     t = np.kron(G.np_table, np.ones((m, m), dtype=np.int64)) * m + np.tile(H.np_table, (n, n))
     if name is None and G.name and H.name:
         name = f"{G.name}x{H.name}"

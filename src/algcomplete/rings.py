@@ -139,17 +139,14 @@ def subring(R: FiniteRing, elements) -> FiniteRing:
 
 @dataclass(frozen=True)
 class Unitalization:
-    """U = Z_m x R with (a,r)(b,s) = (ab, a.s + b.r + rs); kernel inclusion r -> (0,r)."""
+    """U = Z_m x R with (a,r)(b,s) = (ab, a.s + b.r + rs).
+
+    (a,r) is encoded as a*|R| + r, so the kernel inclusion r -> (0,r) is r -> r.
+    """
 
     R: FiniteRing
     m: int
     U: FiniteRing
-
-    def encode(self, a: int, r: int) -> int:
-        return a * self.R.order + r
-
-    def kernel_inclusion(self, r: int) -> int:
-        return r
 
 
 def _multiples(R: FiniteRing, m: int) -> np.ndarray:

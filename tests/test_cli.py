@@ -105,6 +105,59 @@ def test_missing_catalog_is_config_error(tmp_path):
     assert run_report(["--catalog", str(tmp_path / "nope.json")]) == 2
 
 
+Z3 = {"name": "Z3", "cyclic": 3}
+
+
+def semidirect(action):
+    return {"name": "K", "semidirect": {"kernel": "Z3", "actor": "Z3", "action": action}}
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([{"name": "K", "cayley": [[0, 1], [1, 1]]}], "row is not a permutation (witness: (1,))"),
+    ([Z3, semidirect([0, 1, 7])], "action index out of range (witness: (7,))"),
+    ([Z3, semidirect([0, 1, 1])], "action is not a hom"),
+], ids=["cayley", "action-range", "action-hom"])
+@pytest.mark.parametrize("flag", ["--catalog", "--universe"])
+def test_invalid_catalog_is_config_error(tmp_path, capsys, entries, message, flag):
+    path = write_catalog(tmp_path, entries)
+    assert run_report([flag, path, "--mode", "classify"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_invalid_action_is_rejected_under_python_O(tmp_path):
+    path = write_catalog(tmp_path, [Z3, semidirect([0, 1, 1])])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "algcomplete", "--catalog", path, "--mode", "classify"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: action is not a hom") and proc.stdout == ""
+
+
+def z4_over_z130(tmp_path):
+    return ["--catalog", write_catalog(tmp_path, [{"name": "Z4", "cyclic": 4},
+                                                  {"name": "Z1", "cyclic": 1}]),
+            "--universe", write_catalog(tmp_path, [{"name": "Z130", "cyclic": 130}], "uni.json"),
+            "--bound", "130"]
+
+
+def test_crosscheck_refutes_z4_past_the_element_cap(tmp_path):
+    out = tmp_path / "r.json"
+    rc = run_report(z4_over_z130(tmp_path) + ["--mode", "oracle-crosscheck", "--out", str(out)])
+    assert rc == 0
+    row = json.loads(out.read_text())["objects"][0]
+    assert row["name"] == "Z4" and row["agree"]
+    assert row["proto"] == {"theorem": False, "oracle": False}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_size_cap_names_the_group(tmp_path, capsys, jobs):
+    rc = run_report(z4_over_z130(tmp_path) + ["--mode", "audit", "--jobs", jobs])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: Z4: semidirect product order 520 exceeds cap 512\n"
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--bound", "0"), ("--bound", "abc"), ("--budget", "0"), ("--budget", "-5"),
     ("--jobs", "0"), ("--jobs", "x"),

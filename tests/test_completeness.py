@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algcomplete import completeness
+from algcomplete import completeness, extensions
 from algcomplete.catalog import alternating, cyclic, dicyclic, dihedral, symmetric
 from algcomplete.commutators import center
 from algcomplete.errors import (
@@ -10,6 +10,7 @@ from algcomplete.errors import (
     NotCharacteristicallySimple,
     NotProtoComplete,
     SearchBudgetExceeded,
+    SizeCap,
 )
 from algcomplete.extensions import iter_actions, semidirect_product
 from algcomplete.groups import (
@@ -22,7 +23,6 @@ from algcomplete.groups import (
     normal_subgroups,
     validate_table,
 )
-from algcomplete.automorphisms import automorphism_group
 from algcomplete.completeness import (
     centerless_char_criterion,
     char_simple_audit,
@@ -113,17 +113,17 @@ def _witness(G, B, a, failure):
     }
 
 
-def per_mode_oracle(G, mode, bound, universe, cap=512):
+def per_mode_oracle(G, mode, bound, universe):
     """Reference: one mode at a time, every split extension built afresh.
 
     Returns (flag, witness, middle table or None).
     """
     b = _Budget(DEFAULT_SEARCH_BUDGET)
     for B in universe:
-        if B.order > bound or B.order * G.order > cap:
+        if B.order > bound:
             continue
         for a in iter_actions(B, G):
-            e = semidirect_product(a, cap=cap)
+            e = semidirect_product(a)
             found = _kernel_retractions(e, b, limit=1 if mode == "proto" else 2)
             if found and (mode == "proto" or len(found) == 1):
                 continue
@@ -132,7 +132,7 @@ def per_mode_oracle(G, mode, bound, universe, cap=512):
     return True, None, None
 
 
-def table_oracles(G, bound, universe, cap=512):
+def table_oracles(G, bound, universe):
     """Reference: the fused split-extension pass over full Cayley tables.
 
     Every extension is built by `semidirect_product` (all of
@@ -143,10 +143,10 @@ def table_oracles(G, bound, universe, cap=512):
     b = _Budget(DEFAULT_SEARCH_BUDGET)
     strong = None
     for B in universe:
-        if B.order > bound or B.order * G.order > cap:
+        if B.order > bound:
             continue
         for a in iter_actions(B, G):
-            e = semidirect_product(a, cap=cap)
+            e = semidirect_product(a)
             found = _kernel_retractions(e, b, limit=1 if strong is not None else 2)
             if not found:
                 proto = (False, _witness(G, B, a, "no retraction"), e.A.table)
@@ -173,13 +173,18 @@ def column_oracles(monkeypatch, G, bound, universe):
     return pair, DEFAULT_SEARCH_BUDGET - b.left
 
 
+def _middle_table(v):
+    """The Cayley table of the verdict's failing extension, or None."""
+    return semidirect_product(v.action).A.table if v.action is not None else None
+
+
 def assert_matches_table_reference(monkeypatch, G, bound, universe):
     pair, spent = column_oracles(monkeypatch, G, bound, universe)
     *expected, expected_spent = table_oracles(G, bound, universe)
     for mode, v, (flag, witness, middle) in zip(("proto", "strong"), pair, expected):
         assert (v.mode, v.bound, v.universe_id) == (mode, bound, "builtin")
         assert (v.flag, v.witness) == (flag, witness), (G.name, mode)
-        assert (v.middle.table if v.middle is not None else None) == middle, (G.name, mode)
+        assert _middle_table(v) == middle, (G.name, mode)
     assert spent == expected_spent, G.name
 
 
@@ -224,7 +229,7 @@ def test_fused_oracles_match_per_mode_reference(catalog):
             flag, witness, middle = per_mode_oracle(G, mode, 2 * G.order, catalog)
             assert (v.mode, v.bound, v.universe_id) == (mode, 2 * G.order, "builtin")
             assert (v.flag, v.witness) == (flag, witness), (G.name, mode)
-            assert (v.middle.table if v.middle is not None else None) == middle
+            assert _middle_table(v) == middle
         proto, strong = pair
         if proto.witness is not None:
             assert strong.witness is not None and strong.witness is not proto.witness
@@ -234,6 +239,51 @@ def test_fused_oracles_match_per_mode_reference(catalog):
     assert seen["Z2"] == (None, "retraction not unique")
     assert seen["Z4"] == ("no retraction", "retraction not unique")
     assert seen["Z3"] == ("no retraction", "no retraction")
+
+
+def test_pass_refutes_z4_past_the_element_cap(Z4):
+    """|Z130| * |Z4| = 520 > 512: the pass reads generator columns, so no cokernel is skipped."""
+    proto, strong = split_extension_oracles(Z4, 130, [cyclic(130)], "Z130")
+    assert (proto.flag, strong.flag) == (False, False)
+    assert proto.witness["cokernel"] == strong.witness["cokernel"] == "Z130"
+    assert proto.witness["failure"] == "no retraction"
+    # the trivial action comes first, and Hom(Z130, Z4) has two elements
+    assert strong.witness["failure"] == "retraction not unique"
+    assert proto.action.B.order == 130 and list(proto.action.indices) == proto.witness["action"]
+
+
+def test_s4_pass_visits_the_whole_catalog_at_bound_48(monkeypatch, catalog):
+    """18 of the 74 cokernels give middle groups of 528 to 576 elements."""
+    S4 = next(G for G in catalog if G.name == "G24.14")
+    seen = []
+
+    def recording(B, X, budget=None):
+        seen.append(B)
+        return iter_actions(B, X, budget)
+
+    monkeypatch.setattr(completeness, "iter_actions", recording)
+    proto, strong = split_extension_oracles(S4, 48, catalog, "builtin")
+    assert len(seen) == len(catalog) == 74
+    assert [B.name for B in seen] == [B.name for B in catalog]
+    assert proto.flag and strong.flag
+
+
+def test_pass_builds_no_group(monkeypatch, Z4):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the split-extension pass built a group")
+
+    monkeypatch.setattr(completeness, "semidirect_product", refuse)
+    monkeypatch.setattr(extensions, "semidirect_product", refuse)
+    monkeypatch.setattr(FiniteGroup, "from_array", staticmethod(refuse))
+    proto, strong = split_extension_oracles(Z4, 8, small_universe(), "small")
+    assert not proto.flag and proto.action is not None and strong.action is not None
+
+
+def test_audit_builds_the_middle_group_under_the_cap(Z4):
+    aud = implication_audit(Z4, 8, small_universe(), "small")
+    assert not aud.oracle_proto.flag and aud.violations == ()
+    with pytest.raises(SizeCap, match="^semidirect product order 520 exceeds cap 512$"):
+        implication_audit(Z4, 130, [cyclic(130)], "Z130")
 
 
 def test_budget_exhaustion_names_the_phase(S3, Z2, Z4):
