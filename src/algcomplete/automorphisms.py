@@ -12,6 +12,7 @@ import numpy as np
 from .errors import NotNormal, SizeCap, TableInvalid
 from .groups import (
     DEFAULT_ELEMENT_CAP,
+    DEFAULT_SEARCH_BUDGET,
     FiniteGroup,
     GroupHom,
     Subgroup,
@@ -125,16 +126,17 @@ class AutomorphismGroup:
 _AUT_CACHE: dict[FiniteGroup, AutomorphismGroup] = {}
 
 
-def automorphism_group(G: FiniteGroup, budget: Optional[int] = None) -> AutomorphismGroup:
+def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
     """Complete automorphism list via backtracking on generator images.
 
     Generators range over elements of equal order; partial maps are pruned
-    by closure consistency and injectivity.
+    by closure consistency and injectivity.  The search has the fixed limit
+    DEFAULT_SEARCH_BUDGET, so a cached result never depends on call order.
     """
     cached = _AUT_CACHE.get(G)
     if cached is not None:
         return cached
-    b = _Budget(budget) if budget is not None else None
+    b = _Budget(DEFAULT_SEARCH_BUDGET, "automorphism search")
     perms = sorted(iter_hom_images(G, G, budget=b, injective=True))
     assert perms[0] == tuple(range(G.order))
     aut = AutomorphismGroup(G, tuple(perms))

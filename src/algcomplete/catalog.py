@@ -22,10 +22,13 @@ from .groups import (
     quotient,
 )
 from .automorphisms import automorphism_group
+from .commutators import center
 from .extensions import GroupAction, iter_actions, semidirect_product
 
 
 def cyclic(n: int) -> FiniteGroup:
+    if n < 1:
+        raise ConfigInvalid("cyclic order must be >= 1")
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     return FiniteGroup(table, f"Z{n}")
 
@@ -93,38 +96,6 @@ def alternating(n: int) -> FiniteGroup:
     return group_from_permutations(n, gens, name=f"A{n}", cap=100000)
 
 
-_FINGERPRINT_CACHE: dict = {}
-
-
-def _fingerprint(G: FiniteGroup):
-    from .commutators import center
-
-    key = G
-    fp = _FINGERPRINT_CACHE.get(key)
-    if fp is None:
-        fp = (G.order, G.order_profile, G.is_abelian, center(G).order)
-        _FINGERPRINT_CACHE[key] = fp
-    return fp
-
-
-class _IsoSet:
-    """Groups deduplicated up to isomorphism, bucketed by cheap invariants."""
-
-    def __init__(self):
-        self.groups: list[FiniteGroup] = []
-        self.buckets: dict = {}
-
-    def add(self, G: FiniteGroup) -> bool:
-        fp = _fingerprint(G)
-        bucket = self.buckets.setdefault(fp, [])
-        for H in bucket:
-            if is_isomorphic(G, H) is not None:
-                return False
-        bucket.append(G)
-        self.groups.append(G)
-        return True
-
-
 _CATALOG_CACHE: dict[int, tuple[FiniteGroup, ...]] = {}
 
 
@@ -132,34 +103,49 @@ def build_catalog(max_order: int = 24) -> tuple[FiniteGroup, ...]:
     """All groups of order <= max_order up to isomorphism, deterministically.
 
     Seeds: cyclic Z1..Z_max and dicyclic Dic_n (the non-split members).
-    Closure: semidirect products X : B over every action, while the kernel's
-    automorphism group stays enumerable and the product order fits.  The
+    Closure: semidirect products X : B over every action, while the product
+    order fits.  Each round builds only the pairs with X or B found in the
+    round before, since every other pair was built in an earlier round.  The
     result is sorted by (order, discovery index).
     """
     cached = _CATALOG_CACHE.get(max_order)
     if cached is not None:
         return cached
-    pool = _IsoSet()
+    pool: list[FiniteGroup] = []
+    buckets: dict = {}  # cheap invariants -> the pool's groups that have them
+
+    def add(G: FiniteGroup) -> bool:
+        """Put G in the pool unless it holds an isomorphic group."""
+        key = (G.order, G.order_profile, G.is_abelian, center(G).order)
+        bucket = buckets.setdefault(key, [])
+        if any(is_isomorphic(G, H) is not None for H in bucket):
+            return False
+        bucket.append(G)
+        pool.append(G)
+        return True
+
     for n in range(1, max_order + 1):
-        pool.add(cyclic(n))
+        add(cyclic(n))
     for n in range(2, max_order // 4 + 1):
-        pool.add(dicyclic(n))
-    frontier = list(pool.groups)
-    while frontier:
-        current = sorted(pool.groups, key=lambda g: (g.order, g.name or ""))
-        frontier = []
+        add(dicyclic(n))
+    fresh = list(pool)
+    while fresh:
+        new = set(fresh)
+        current = sorted(pool, key=lambda g: (g.order, g.name or ""))
+        fresh = []
         for X in current:
             if X.order > max_order // 2:
                 continue
-            aut = automorphism_group(X)
             for B in current:
                 if X.order * B.order > max_order:
                     continue
+                if X not in new and B not in new:
+                    continue
                 for a in iter_actions(B, X):
                     A = semidirect_product(a).A
-                    if pool.add(A):
-                        frontier.append(A)
-    groups = sorted(pool.groups, key=lambda g: g.order)
+                    if add(A):
+                        fresh.append(A)
+    groups = sorted(pool, key=lambda g: g.order)
     renamed = []
     counters: dict[int, int] = {}
     for G in groups:
@@ -185,7 +171,14 @@ def resolve_catalog(entries: Sequence[dict]) -> list[FiniteGroup]:
         name = entry["name"]
         if name in named:
             raise ConfigInvalid(f"duplicate catalog name: {name}")
-        G = _resolve_entry(entry, named)
+        try:
+            G = _resolve_entry(entry, named)
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(f"catalog entry {name!r}: {exc}") from None
+        except KeyError as exc:
+            raise ConfigInvalid(f"catalog entry {name!r}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"catalog entry {name!r}: malformed recipe: {exc}") from None
         G = FiniteGroup(G.table, name)
         named[name] = G
         out.append(G)
@@ -193,7 +186,6 @@ def resolve_catalog(entries: Sequence[dict]) -> list[FiniteGroup]:
 
 
 def _resolve_entry(entry: dict, named: dict) -> FiniteGroup:
-    name = entry["name"]
     if "cayley" in entry or "permutations" in entry:
         return load_group(entry)
     if "cyclic" in entry:
@@ -221,7 +213,7 @@ def _resolve_entry(entry: dict, named: dict) -> FiniteGroup:
         parent = _lookup(named, spec["parent"])
         N = Subgroup.create(parent, spec["subgroup"])
         return quotient(parent, N)[0]
-    raise ConfigInvalid(f"catalog entry {name!r} has no recognized recipe")
+    raise ConfigInvalid("no recognized recipe")
 
 
 def _lookup(named: dict, name: str) -> FiniteGroup:

@@ -55,8 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--catalog", default=_env("CATALOG", "builtin"),
                    help="catalog JSON path, or 'builtin' for all groups of order <= 24")
-    p.add_argument("--mode", default=_env("MODE", "classify"),
-                   choices=["classify", "audit", "oracle-crosscheck", "paper-examples"])
+    p.add_argument("--mode", default=_env("MODE", "classify"), choices=list(MODES))
     p.add_argument("--bound", type=_positive_int, default=_env("BOUND"),
                    help="cokernel/universe bound; default 2*|G| per group")
     p.add_argument("--universe", default=_env("UNIVERSE", None),
@@ -149,9 +148,6 @@ def _job_audit(args) -> dict:
     }
 
 
-_JOBS = {"classify": _job_classify, "oracle-crosscheck": _job_crosscheck, "audit": _job_audit}
-
-
 def _naming_group(job, args) -> dict:
     """job(args), with the group's name put before a budget-exhaustion or size-cap message."""
     try:
@@ -161,9 +157,9 @@ def _naming_group(job, args) -> dict:
         raise type(exc)(f"{G.name or f'group-of-order-{G.order}'}: {exc}") from None
 
 
-def _run_groups(mode: str, catalog, extra, budget, jobs: int) -> list[dict]:
+def _run_groups(job, catalog, extra, budget, jobs: int) -> list[dict]:
     work = [(G, extra, budget) for G in catalog]
-    fn = partial(_naming_group, _JOBS[mode])
+    fn = partial(_naming_group, job)
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, work))
@@ -206,8 +202,34 @@ def _paper_examples(budget) -> list[dict]:
     return checks
 
 
+def _classify_rows(args, catalog, universe) -> list[dict]:
+    return _run_groups(_job_classify, catalog, None, args.budget, args.jobs)
+
+
+def _oracle_rows(job, args, catalog, universe) -> list[dict]:
+    return _run_groups(job, catalog, (args.bound, universe), args.budget, args.jobs)
+
+
+def _paper_rows(args, catalog, universe) -> list[dict]:
+    return _paper_examples(args.budget)
+
+
+# mode -> (report key, rows of the run, whether a row is a failed check)
+MODES = {
+    "classify": ("objects", _classify_rows, lambda row: False),
+    "audit": ("objects", partial(_oracle_rows, _job_audit), lambda row: bool(row["violations"])),
+    "oracle-crosscheck": ("objects", partial(_oracle_rows, _job_crosscheck),
+                          lambda row: not row["agree"]),
+    "paper-examples": ("checks", _paper_rows, lambda check: not check["pass"]),
+}
+
+
 def run_report(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.mode not in MODES:  # argparse checks choices on the flag, not on ALGC_MODE
+        parser.error(f"ALGC_MODE: invalid choice: {args.mode!r} "
+                     f"(choose from {', '.join(map(repr, MODES))})")
     try:
         catalog = _load_catalog(args.catalog)
         universe = _load_catalog(args.universe) if args.universe else catalog
@@ -220,27 +242,14 @@ def run_report(argv: Optional[Sequence[str]] = None) -> int:
         "catalog_size": len(catalog),
         "bound": args.bound,
     }
-    failed = False
+    key, run, fails = MODES[args.mode]
     try:
-        if args.mode == "paper-examples":
-            checks = _paper_examples(args.budget)
-            report["checks"] = checks
-            failed = any(not c["pass"] for c in checks)
-        elif args.mode == "classify":
-            report["objects"] = _run_groups("classify", catalog, None, args.budget, args.jobs)
-        elif args.mode == "oracle-crosscheck":
-            rows = _run_groups("oracle-crosscheck", catalog, (args.bound, universe),
-                               args.budget, args.jobs)
-            report["objects"] = rows
-            failed = any(not r["agree"] for r in rows)
-        else:
-            rows = _run_groups("audit", catalog, (args.bound, universe),
-                               args.budget, args.jobs)
-            report["objects"] = rows
-            failed = any(r["violations"] for r in rows)
+        rows = run(args, catalog, universe)
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report[key] = rows
+    failed = any(map(fails, rows))
     report["failed"] = failed
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:

@@ -11,6 +11,7 @@ from typing import Optional
 
 from .errors import CodomainMismatch, NotASubgroup
 from .groups import (
+    DEFAULT_SEARCH_BUDGET,
     FiniteGroup,
     GroupHom,
     Subgroup,
@@ -84,22 +85,19 @@ def embedding_retraction(h: GroupHom, budget: Optional[_Budget] = None) -> Optio
     return GroupHom(Y, X, img)
 
 
-def find_retraction(
-    G: FiniteGroup, S: Subgroup, budget: Optional[int] = None
-) -> Optional[GroupHom]:
+def find_retraction(G: FiniteGroup, S: Subgroup) -> Optional[GroupHom]:
     """Some hom r: G -> S_as_group with r|S = id: the retraction of S's inclusion."""
-    return embedding_retraction(S.as_group()[1], _Budget(budget) if budget is not None else None)
+    b = _Budget(DEFAULT_SEARCH_BUDGET, "retraction search")
+    return embedding_retraction(S.as_group()[1], b)
 
 
-def subgroup_verdict(
-    G: FiniteGroup, S: Subgroup, aut_perms, budget: Optional[int] = None
-) -> SubgroupVerdict:
+def subgroup_verdict(G: FiniteGroup, S: Subgroup, aut_perms) -> SubgroupVerdict:
     """Normality, characteristicity and split-retraction verdicts for S <= G."""
     if S.parent != G:
         raise NotASubgroup("subgroup belongs to a different parent")
     normal = S.is_normal()
     char = is_characteristic(G, S, aut_perms)
-    retr = find_retraction(G, S, budget=budget)
+    retr = find_retraction(G, S)
     if char and not normal:
         raise AssertionError("characteristic subgroup must be normal")
     return SubgroupVerdict(normal, char, retr)

@@ -224,26 +224,24 @@ def oracle_completeness(
 # -- structure theorems as operations -----------------------------------------
 
 
-def decompose_proto_complete(
-    G: FiniteGroup, budget: Optional[int] = None
-) -> tuple[Subgroup, FiniteGroup, GroupHom]:
+def decompose_proto_complete(G: FiniteGroup) -> tuple[Subgroup, FiniteGroup, GroupHom]:
     """Split a proto-complete G as center times a strong-complete quotient.
 
     The isomorphism is g -> (g * s(q(g))^-1, q(g)) for a section s of the
-    central quotient q; both factors' expected verdicts are asserted.
+    central quotient q; both factors' expected verdicts are asserted.  s is
+    the classification's section of c read through G/Z = Inn(G), s(q(g)) =
+    section(c(g)), so no search runs besides the two classifications.
     """
-    rep = classify_completeness(G, budget=budget)
+    rep = classify_completeness(G)
     if not rep.proto_complete:
         raise NotProtoComplete(rep.name)
     Z = center(G)
     Q, proj = quotient(G, Z)
-    b = _Budget(budget) if budget is not None else None
-    fibers = {}
+    cidx = conjugation_indices(G, automorphism_group(G))
+    s_img = [0] * Q.order
     for g in range(G.order):
-        fibers.setdefault(proj(g), []).append(g)
-    found = find_constrained_hom(Q, G, allowed=fibers, budget=b)
-    assert found, "proto-complete group must split over its center"
-    s = GroupHom(Q, G, found[0])
+        s_img[proj(g)] = rep.proto_section[cidx[g]]
+    s = GroupHom.create(Q, G, s_img)
     assert all(proj(s(q)) == q for q in range(Q.order))
     Zg, _ = Z.as_group()
     P, _, _ = direct_product(Zg, Q)
@@ -253,7 +251,7 @@ def decompose_proto_complete(
     )
     iso = GroupHom.create(G, P, img)
     assert iso.is_bijective
-    q_rep = classify_completeness(Q, budget=budget)
+    q_rep = classify_completeness(Q)
     assert q_rep.strong_complete, "quotient by the center must be strong-complete"
     assert automorphism_group(Zg).order == 1 or Zg.order == 1, (
         "center factor must be proto-complete (trivial automorphisms)"
@@ -261,7 +259,7 @@ def decompose_proto_complete(
     return Z, Q, iso
 
 
-def one_step_check(G: FiniteGroup, budget: Optional[int] = None) -> tuple[bool, bool]:
+def one_step_check(G: FiniteGroup) -> tuple[bool, bool]:
     """(c injective and Inn characteristic in Aut(G)) vs
     (trivial center and Aut(G) strong-complete); their equality is a theorem
     checked by the test suite, not here."""
@@ -269,9 +267,9 @@ def one_step_check(G: FiniteGroup, budget: Optional[int] = None) -> tuple[bool, 
     z = center(G)
     carrier = aut.carrier
     inn = inner_subgroup(G, aut)
-    aut2 = automorphism_group(carrier, budget=budget)
+    aut2 = automorphism_group(carrier)
     lhs = z.order == 1 and is_characteristic(carrier, inn, aut2.elems)
-    rhs = z.order == 1 and classify_completeness(carrier, budget=budget).strong_complete
+    rhs = z.order == 1 and classify_completeness(carrier).strong_complete
     return lhs, rhs
 
 
@@ -369,10 +367,14 @@ class CharSimpleReport:
 
 
 def char_simple_audit(G: FiniteGroup, budget: Optional[int] = None) -> CharSimpleReport:
-    """For characteristically simple nonabelian G, Aut(G) must be strong-complete."""
+    """For characteristically simple nonabelian G, Aut(G) must be strong-complete.
+
+    `budget` limits the section search of Aut(G)'s classification; the
+    automorphism search has its own fixed limit.
+    """
     if G.is_abelian:
         raise AbelianInput(G.name or f"order-{G.order}")
-    aut = automorphism_group(G, budget=budget)
+    aut = automorphism_group(G)
     # characteristic subgroups are normal
     for S in normal_subgroups(G):
         if S.order in (1, G.order):

@@ -73,12 +73,10 @@ def trivial_action(B: FiniteGroup, X: FiniteGroup) -> GroupAction:
     return GroupAction(B, X, automorphism_group(X), (0,) * B.order)
 
 
-def iter_actions(
-    B: FiniteGroup, X: FiniteGroup, budget: Optional[int] = None
-) -> Iterator[GroupAction]:
+def iter_actions(B: FiniteGroup, X: FiniteGroup) -> Iterator[GroupAction]:
     """All actions of B on X, lazily, in canonical order."""
     aut = automorphism_group(X)
-    b = _Budget(budget) if budget is not None else None
+    b = _Budget(DEFAULT_SEARCH_BUDGET, "action enumeration")
     for img in iter_hom_images(B, aut, budget=b):
         yield GroupAction(B, X, aut, img)
 
@@ -226,9 +224,7 @@ def induced_action(e: SplitExtension) -> GroupAction:
     return GroupAction.create(B, X, aut, idx)
 
 
-def classify_into_generic(
-    e: SplitExtension, budget: Optional[int] = None
-) -> tuple[GroupHom, GroupHom]:
+def classify_into_generic(e: SplitExtension) -> tuple[GroupHom, GroupHom]:
     """The unique morphism (u, v) from e into the generic extension of its kernel.
 
     v sends b to conjugation-by-beta(b) on im(kappa); u factors a as
@@ -256,7 +252,7 @@ def classify_into_generic(
     count = 0
     gens = [e.kappa(x) for x in X.generators] + [e.beta(b) for b in B.generators]
     forced = {e.kappa(x): [hol.kappa(x)] for x in range(m)}
-    b = _Budget(budget) if budget is not None else None
+    b = _Budget(DEFAULT_SEARCH_BUDGET, "classifier search")
     for img in iter_hom_images(A, hol.A, gens, forced, b):
         up = GroupHom(A, hol.A, img)
         vp = tuple(hol.alpha(up(e.beta(bb))) for bb in range(B.order))
@@ -268,20 +264,16 @@ def classify_into_generic(
     return u, v
 
 
-def enumerate_split_extensions(
-    X: FiniteGroup, B: FiniteGroup, budget: Optional[int] = None
-) -> list[SplitExtension]:
+def enumerate_split_extensions(X: FiniteGroup, B: FiniteGroup) -> list[SplitExtension]:
     """One split extension per action of B on X, in canonical action order."""
-    return [semidirect_product(a) for a in iter_actions(B, X, budget=budget)]
+    return [semidirect_product(a) for a in iter_actions(B, X)]
 
 
 _DEDUP_AUT_CAP = 10000
 
 
 def enumerate_normal_embeddings(
-    X: FiniteGroup,
-    universe: Sequence[FiniteGroup],
-    budget: Optional[int] = None,
+    X: FiniteGroup, universe: Sequence[FiniteGroup]
 ) -> list[tuple[FiniteGroup, GroupHom]]:
     """Every injective hom X -> Y with normal image, over all Y in the universe.
 
@@ -291,7 +283,7 @@ def enumerate_normal_embeddings(
     normal, so inner conjugacy never separates them anyway).
     """
     out = []
-    b = _Budget(budget if budget is not None else DEFAULT_SEARCH_BUDGET, "normal embeddings")
+    b = _Budget(DEFAULT_SEARCH_BUDGET, "normal embeddings")
     for Y in universe:
         if Y.order % X.order != 0 or Y.order < X.order:
             continue

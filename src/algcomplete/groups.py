@@ -577,9 +577,9 @@ def iter_hom_images(
     yield from rec(0, [])
 
 
-def enumerate_homs(G: FiniteGroup, H: FiniteGroup, budget: Optional[int] = None) -> list[GroupHom]:
+def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
     """Complete list of homomorphisms G -> H in canonical (lex) order."""
-    b = _Budget(budget) if budget is not None else None
+    b = _Budget(DEFAULT_SEARCH_BUDGET, "hom enumeration")
     return [GroupHom(G, H, img) for img in iter_hom_images(G, H, budget=b)]
 
 
@@ -595,9 +595,7 @@ def find_constrained_hom(
     return list(itertools.islice(iter_hom_images(G, H, gens, allowed, budget), limit))
 
 
-def is_isomorphic(
-    G: FiniteGroup, H: FiniteGroup, budget: Optional[int] = None
-) -> Optional[GroupHom]:
+def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
     """Some isomorphism G -> H, or None (a verified-none verdict).
 
     Backtracking with order-profile pruning; each generator ranges over the
@@ -607,7 +605,7 @@ def is_isomorphic(
         return None
     if G.is_abelian != H.is_abelian:
         return None
-    b = _Budget(budget) if budget is not None else None
+    b = _Budget(DEFAULT_SEARCH_BUDGET, "isomorphism search")
     for img in iter_hom_images(G, H, budget=b, injective=True):
         return GroupHom(G, H, img)
     return None

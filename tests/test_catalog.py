@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from algcomplete import catalog as catalog_module
 from algcomplete.catalog import (
     alternating,
     build_catalog,
@@ -12,8 +13,10 @@ from algcomplete.catalog import (
     resolve_catalog,
     symmetric,
 )
+from algcomplete.commutators import center
 from algcomplete.errors import ConfigInvalid
-from algcomplete.groups import is_isomorphic
+from algcomplete.extensions import iter_actions, semidirect_product
+from algcomplete.groups import FiniteGroup, is_isomorphic
 
 # number of groups of each order 1..24, up to isomorphism (standard values)
 GROUP_COUNTS = [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14, 1, 5, 1, 5, 2, 2, 1, 15]
@@ -63,6 +66,58 @@ def test_catalog_names_unique_and_deterministic(catalog):
     assert len(set(names)) == len(names)
     again = build_catalog(24)
     assert [g.table for g in again] == [g.table for g in catalog]
+
+
+def reference_catalog(max_order):
+    """The closure rebuilt from every (X, B) pair in each round, until a round adds nothing."""
+    pool = []
+
+    def add(G):
+        key = (G.order, G.order_profile, G.is_abelian, center(G).order)
+        same = [H for H in pool if (H.order, H.order_profile, H.is_abelian,
+                                    center(H).order) == key]
+        if any(is_isomorphic(G, H) is not None for H in same):
+            return False
+        pool.append(G)
+        return True
+
+    for n in range(1, max_order + 1):
+        add(cyclic(n))
+    for n in range(2, max_order // 4 + 1):
+        add(dicyclic(n))
+    grew = True
+    while grew:
+        grew = False
+        current = sorted(pool, key=lambda g: (g.order, g.name or ""))
+        for X in current:
+            for B in current:
+                if X.order <= max_order // 2 and X.order * B.order <= max_order:
+                    for a in iter_actions(B, X):
+                        grew |= add(semidirect_product(a).A)
+    out, counters = [], collections.Counter()
+    for G in sorted(pool, key=lambda g: g.order):
+        counters[G.order] += 1
+        keep = G.name and ":" not in G.name and "x" not in G.name
+        out.append(FiniteGroup(G.table, G.name if keep else f"G{G.order}.{counters[G.order]}"))
+    return out
+
+
+def test_catalog_matches_the_every_pair_closure(catalog):
+    assert [(G.name, G.table) for G in catalog] == [
+        (G.name, G.table) for G in reference_catalog(24)]
+
+
+def test_catalog_builds_each_action_once(monkeypatch):
+    built = collections.Counter()
+
+    def recording(a, name=None):
+        built[(a.X, a.B, a.indices)] += 1
+        return semidirect_product(a, name)
+
+    monkeypatch.setattr(catalog_module, "semidirect_product", recording)
+    monkeypatch.setattr(catalog_module, "_CATALOG_CACHE", {})
+    assert len(build_catalog(24)) == sum(GROUP_COUNTS)
+    assert max(built.values()) == 1
 
 
 def test_resolve_catalog_recipes():

@@ -125,6 +125,21 @@ def test_invalid_catalog_is_config_error(tmp_path, capsys, entries, message, fla
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("recipe, detail", [
+    ({"semidirect": {"kernel": "Z3"}}, "missing field 'actor'"),
+    ({"cyclic": "x"}, "malformed recipe: invalid literal for int()"),
+    ({"cyclic": 0}, "cyclic order must be >= 1"),
+    ({"product": ["Z3"]}, "malformed recipe: not enough values to unpack"),
+    ({"permutations": {"degree": 3}}, "missing field 'generators'"),
+], ids=["semidirect-no-actor", "cyclic-not-int", "cyclic-zero", "product-one-factor",
+        "permutations-no-generators"])
+def test_malformed_recipe_names_the_entry(tmp_path, capsys, recipe, detail):
+    path = write_catalog(tmp_path, [Z3, {"name": "K", **recipe}])
+    assert run_report(["--catalog", path, "--mode", "classify"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: catalog entry 'K': {detail}") and err.count("\n") == 1
+
+
 def test_invalid_action_is_rejected_under_python_O(tmp_path):
     path = write_catalog(tmp_path, [Z3, semidirect([0, 1, 1])])
     proc = subprocess.run(
@@ -176,6 +191,15 @@ def test_bad_numeric_env_is_usage_error(name, monkeypatch, capsys):
         run_report(["--mode", "classify"])
     assert exc.value.code == 2
     assert "not an integer" in capsys.readouterr().err
+
+
+def test_bad_mode_env_is_usage_error(monkeypatch, capsys):
+    """argparse checks `choices` on the flag only, so ALGC_MODE is checked on its own."""
+    monkeypatch.setenv("ALGC_MODE", "bogus")
+    with pytest.raises(SystemExit) as exc:
+        run_report([])
+    assert exc.value.code == 2
+    assert "ALGC_MODE: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_numeric_env_defaults_are_parsed(tmp_path, monkeypatch):

@@ -257,9 +257,9 @@ def test_s4_pass_visits_the_whole_catalog_at_bound_48(monkeypatch, catalog):
     S4 = next(G for G in catalog if G.name == "G24.14")
     seen = []
 
-    def recording(B, X, budget=None):
+    def recording(B, X):
         seen.append(B)
-        return iter_actions(B, X, budget)
+        return iter_actions(B, X)
 
     monkeypatch.setattr(completeness, "iter_actions", recording)
     proto, strong = split_extension_oracles(S4, 48, catalog, "builtin")
