@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, SizeCap
 from .groups import (
+    DEFAULT_ELEMENT_CAP,
     FiniteGroup,
     Subgroup,
     direct_product,
@@ -26,9 +27,23 @@ from .commutators import center
 from .extensions import GroupAction, iter_actions, semidirect_product
 
 
+def _check_order(name: str, factors: Sequence[int]) -> None:
+    """SizeCap if the product of `factors`, the order of group `name`, exceeds DEFAULT_ELEMENT_CAP.
+
+    The product stops at the first partial product over the cap, so a huge
+    index costs nothing.
+    """
+    order = 1
+    for f in factors:
+        order *= f
+        if order > DEFAULT_ELEMENT_CAP:
+            raise SizeCap(f"{name} has more than {DEFAULT_ELEMENT_CAP} elements")
+
+
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ConfigInvalid("cyclic order must be >= 1")
+    _check_order(f"Z{n}", [n])
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     return FiniteGroup(table, f"Z{n}")
 
@@ -37,6 +52,7 @@ def dihedral(n: int) -> FiniteGroup:
     """Symmetries of the n-gon, order 2n."""
     if n < 1:
         raise ConfigInvalid("dihedral index must be >= 1")
+    _check_order(f"D{n}", [2, n])
     if n == 1:
         return FiniteGroup(((0, 1), (1, 0)), "D1")
     if n == 2:
@@ -55,6 +71,7 @@ def dicyclic(n: int) -> FiniteGroup:
     """
     if n < 2:
         raise ConfigInvalid("dicyclic index must be >= 2")
+    _check_order(f"Dic{n}", [4, n])
     m = 2 * n
 
     def mul(e1, e2):
@@ -77,15 +94,17 @@ def dicyclic(n: int) -> FiniteGroup:
 def symmetric(n: int) -> FiniteGroup:
     if n <= 1:
         return cyclic(1)
+    _check_order(f"S{n}", range(2, n + 1))
     gens = [tuple([1, 0] + list(range(2, n)))]
     if n > 2:
         gens.append(tuple(list(range(1, n)) + [0]))
-    return group_from_permutations(n, gens, name=f"S{n}", cap=100000)
+    return group_from_permutations(n, gens, name=f"S{n}")
 
 
 def alternating(n: int) -> FiniteGroup:
     if n <= 2:
         return cyclic(1)
+    _check_order(f"A{n}", range(3, n + 1))  # n!/2
     g1 = tuple([1, 2, 0] + list(range(3, n)))
     if n == 3:
         gens = [g1]
@@ -93,7 +112,7 @@ def alternating(n: int) -> FiniteGroup:
         gens = [g1, tuple(list(range(1, n)) + [0])]
     else:
         gens = [g1, tuple([0] + list(range(2, n)) + [1])]
-    return group_from_permutations(n, gens, name=f"A{n}", cap=100000)
+    return group_from_permutations(n, gens, name=f"A{n}")
 
 
 _CATALOG_CACHE: dict[int, tuple[FiniteGroup, ...]] = {}
@@ -185,19 +204,26 @@ def resolve_catalog(entries: Sequence[dict]) -> list[FiniteGroup]:
     return out
 
 
+_NAMED = {"cyclic": cyclic, "dihedral": dihedral, "dicyclic": dicyclic,
+          "symmetric": symmetric, "alternating": alternating}
+
+
+def _integer(value, field: str) -> int:
+    """A recipe number: an integer or a string of one, never a float or a bool."""
+    if isinstance(value, (bool, float)):
+        raise ConfigInvalid(f"{field} must be an integer, not {value!r}")
+    return int(value)
+
+
 def _resolve_entry(entry: dict, named: dict) -> FiniteGroup:
-    if "cayley" in entry or "permutations" in entry:
+    if "cayley" in entry:
         return load_group(entry)
-    if "cyclic" in entry:
-        return cyclic(int(entry["cyclic"]))
-    if "dihedral" in entry:
-        return dihedral(int(entry["dihedral"]))
-    if "dicyclic" in entry:
-        return dicyclic(int(entry["dicyclic"]))
-    if "symmetric" in entry:
-        return symmetric(int(entry["symmetric"]))
-    if "alternating" in entry:
-        return alternating(int(entry["alternating"]))
+    if "permutations" in entry:
+        spec = entry["permutations"]
+        return group_from_permutations(_integer(spec["degree"], "degree"), spec["generators"])
+    for key, build in _NAMED.items():
+        if key in entry:
+            return build(_integer(entry[key], key))
     if "product" in entry:
         a, b = entry["product"]
         return direct_product(_lookup(named, a), _lookup(named, b))[0]

@@ -72,8 +72,6 @@ class ClassificationReport:
     proto_complete: bool
     proto_section: Optional[tuple[int, ...]]
     strong_complete: bool
-    complete_bounded: Optional[OracleVerdict] = None
-    decomposition: Optional[tuple] = None
 
 
 def classify_completeness(
@@ -309,7 +307,6 @@ def implication_audit(
     universe: Sequence[FiniteGroup],
     universe_id: str = "universe",
     budget: Optional[int] = None,
-    factors: Optional[tuple[FiniteGroup, FiniteGroup]] = None,
 ) -> ImplicationAudit:
     """Run every classifier and oracle on G and flag violated implications.
 
@@ -349,13 +346,6 @@ def implication_audit(
         normal_char = all(is_characteristic(G, S, aut.elems) for S in normal_subgroups(G))
         if not normal_char:
             violations.append("proto-complete group with a non-characteristic normal subgroup")
-    if factors is not None and oc.flag:
-        for F in factors:
-            fv = oracle_completeness(
-                F, "complete", bound, list(universe) + extra, universe_id + "+witnesses", budget
-            )
-            if not fv.flag:
-                violations.append("bounded-complete product with a refuted factor")
     return ImplicationAudit(rep, op, os_, oc, normal_char, tuple(violations))
 
 

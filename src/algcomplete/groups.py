@@ -47,31 +47,119 @@ def first_mismatch(n: int, lhs, rhs) -> Optional[tuple[int, ...]]:
     return None
 
 
-def validate_table(table: Sequence[Sequence[int]]) -> None:
-    """Check identity/associativity/invertibility; raise TableInvalid with a witness."""
-    n = len(table)
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise TableInvalid("table is not square", (i,))
-        for j, v in enumerate(row):
-            if not (0 <= v < n):
-                raise TableInvalid("entry out of range", (i, j, v))
-    for j in range(n):
-        if table[0][j] != j:
-            raise TableInvalid("identity law fails on the left", (0, j))
-    for i in range(n):
-        if table[i][0] != i:
-            raise TableInvalid("identity law fails on the right", (i, 0))
-    for i in range(n):
-        if sorted(table[i]) != list(range(n)):
-            raise TableInvalid("row is not a permutation", (i,))
-        if sorted(table[j][i] for j in range(n)) != list(range(n)):
-            raise TableInvalid("column is not a permutation", (i,))
-    # associativity via numpy: T[T[i,j],k] == T[i,T[j,k]]
-    t = np.asarray(table, dtype=np.int64)
+def _table_fault(data, ndim: int) -> Optional[TableInvalid]:
+    """The first fault of nested `data` as an ndim-cube of int64 integers, in row-major order.
+
+    Every row at every level must have len(data) entries ("table is not
+    square", witness: the row's index), and every entry must be an integer
+    ("entry is not an integer") that fits in int64 ("entry out of range"),
+    witness: the entry's index and value.  None if there is no fault.
+    """
+    n = len(data) if hasattr(data, "__len__") else -1
+
+    def walk(x, idx: tuple) -> Optional[TableInvalid]:
+        if len(idx) == ndim:
+            v = x.item() if isinstance(x, np.generic) else x
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+                return TableInvalid("entry is not an integer", idx + (v,))
+            if not -(2**63) <= v < 2**63:
+                return TableInvalid("entry out of range", idx + (v,))
+            return None
+        if isinstance(x, (str, bytes)) or not hasattr(x, "__len__") or len(x) != n:
+            return TableInvalid("table is not square", idx)
+        for i, y in enumerate(x):
+            fault = walk(y, idx + (i,))
+            if fault is not None:
+                return fault
+        return None
+
+    return walk(data, ())
+
+
+def int_table(data, ndim: int = 2) -> np.ndarray:
+    """Outside data as an int64 array with `ndim` axes: the one intake of every table.
+
+    Cayley tables, ring tables, structure constants and permutations are all
+    read here, once.  An integer array is taken as int64, copied unless it
+    is read-only.  Other data is converted; ragged rows or an entry that is
+    not an integer (a float, even 1.0, a string, None, or a bool, except
+    that numpy reads a bool among integers as 0 or 1) raise TableInvalid
+    naming the first fault (`_table_fault`).  A rectangular array is returned whatever
+    its shape: callers check the shape they need.  Empty data is the empty
+    table.
+    """
+    try:
+        a = np.asarray(data)
+    except ValueError:  # numpy refuses ragged rows
+        a = None
+    if a is not None and a.ndim == ndim and a.dtype.kind in "iu":
+        # a caller's array that it can still write to is copied, so that writing
+        # to it later cannot change an object built from it
+        return a.astype(np.int64, copy=a is data and a.flags.writeable)
+    fault = _table_fault(data, ndim)
+    if fault is not None:
+        raise fault
+    # a cube of integers that numpy did not type as such: empty, or mixed scalar types
+    return np.asarray(data, dtype=object).astype(np.int64).reshape((len(data),) * ndim)
+
+
+def _non_permutations(rows: np.ndarray) -> np.ndarray:
+    """Which rows of the (k, n) array `rows`, entries in range(n), are not permutations.
+
+    Each row marks the values it holds; a row is a permutation when it marks all n.
+    """
+    k, n = rows.shape
+    seen = np.zeros((k, n), dtype=bool)
+    seen[np.arange(k)[:, None], rows] = True
+    return ~seen.all(axis=1)
+
+
+def _check_range(t: np.ndarray, n: int) -> None:
+    bad = np.argwhere((t < 0) | (t >= n))
+    if bad.size:
+        i, j = (int(x) for x in bad[0])
+        raise TableInvalid("entry out of range", (i, j, int(t[i, j])))
+
+
+def validate_table(table) -> np.ndarray:
+    """The group table `table` as a checked int64 array (`int_table`).
+
+    Raises TableInvalid with a witness at the first failure, checking in
+    this order: square, entries in range, identity on the left, identity on
+    the right, rows and columns permutations (row i, then column i, then row
+    i + 1), associativity.  Each check reports its first failure in
+    row-major order.
+    """
+    try:
+        t = int_table(table)
+    except TableInvalid as exc:
+        if exc.reason == "table is not square" and exc.witness:
+            # rows are read in order: a bad entry before the first ragged row comes first
+            _check_range(int_table(table[: exc.witness[0]]), len(table))
+        raise
+    n = len(t)
+    if t.shape != (n, n):  # rectangular: row 0 already has the wrong length
+        raise TableInvalid("table is not square", (0,))
+    _check_range(t, n)
+    if n == 0:
+        return t
+    ar = np.arange(n)
+    bad = np.flatnonzero(t[0] != ar)
+    if bad.size:
+        raise TableInvalid("identity law fails on the left", (0, int(bad[0])))
+    bad = np.flatnonzero(t[:, 0] != ar)
+    if bad.size:
+        raise TableInvalid("identity law fails on the right", (int(bad[0]), 0))
+    bad_rows, bad_cols = _non_permutations(t), _non_permutations(t.T)
+    bad = np.flatnonzero(bad_rows | bad_cols)
+    if bad.size:
+        i = int(bad[0])
+        what = "row" if bad_rows[i] else "column"
+        raise TableInvalid(f"{what} is not a permutation", (i,))
     bad = first_mismatch(n, lambda rows: t[t[rows]], lambda rows: t[rows][:, t])
     if bad is not None:
         raise TableInvalid("associativity fails", bad)
+    return t
 
 
 @dataclass(frozen=True)
@@ -86,10 +174,11 @@ class FiniteGroup:
 
     @staticmethod
     def from_table(table, name: Optional[str] = None) -> "FiniteGroup":
-        """A group on a validated copy of `table` (`validate_table`)."""
-        tbl = tuple(tuple(int(v) for v in row) for row in table)
-        validate_table(tbl)
-        return FiniteGroup(tbl, name)
+        """A group on `table`, read and checked by `validate_table` and kept as `np_table`."""
+        t = validate_table(table)
+        G = FiniteGroup(tuple(map(tuple, t.tolist())), name)
+        G.__dict__["np_table"] = t
+        return G
 
     @staticmethod
     def from_array(t: np.ndarray, name: Optional[str] = None) -> "FiniteGroup":
@@ -262,6 +351,8 @@ class Subgroup:
         elems = tuple(sorted(set(elements)))
         if not elems or elems[0] != 0:
             raise NotASubgroup("subgroup must contain the identity")
+        if elems[-1] >= parent.order:
+            raise NotASubgroup(f"element {elems[-1]} out of range for order {parent.order}")
         eset = set(elems)
         for a in elems:
             if parent.inv(a) not in eset:
@@ -624,27 +715,26 @@ def load_group(source: dict) -> FiniteGroup:
     """
     name = source.get("name")
     if "cayley" in source:
-        table = [list(row) for row in source["cayley"]]
-        n = len(table)
+        data = source["cayley"]
+        n = len(data)
         if n > DEFAULT_ELEMENT_CAP:
             raise SizeCap(f"group order {n} exceeds cap {DEFAULT_ELEMENT_CAP}")
-        ident = None
-        for e in range(n):
-            try:
-                if all(table[e][j] == j for j in range(n)) and all(
-                    table[i][e] == i for i in range(n)
-                ):
-                    ident = e
-                    break
-            except (IndexError, TypeError):
-                raise TableInvalid("table is not square", (e,))
-        if ident is None:
-            raise TableInvalid("no identity element")
-        if ident != 0:
-            perm = list(range(n))
-            perm[0], perm[ident] = ident, 0  # relabel: swap 0 <-> identity
-            table = [[perm.index(table[perm[i]][perm[j]]) for j in range(n)] for i in range(n)]
-        return FiniteGroup.from_table(table, name)
+        try:
+            t = int_table(data)
+        except TableInvalid:
+            return FiniteGroup.from_table(data, name)  # validate_table names the first fault
+        if t.shape == (n, n):  # otherwise validate_table says why it is not square
+            ar = np.arange(n)
+            is_ident = np.flatnonzero((t == ar).all(axis=1) & (t == ar[:, None]).all(axis=0))
+            if not is_ident.size:
+                raise TableInvalid("no identity element")
+            e = int(is_ident[0])
+            if e and 0 <= t.min() and t.max() < n:  # out-of-range entries stay where they were
+                # the swap of 0 and e is its own inverse: T'[i][j] = perm[T[perm[i]][perm[j]]]
+                perm = ar.copy()
+                perm[[0, e]] = e, 0
+                t = perm[t[np.ix_(perm, perm)]]
+        return FiniteGroup.from_table(t, name)
     if "permutations" in source:
         spec = source["permutations"]
         return group_from_permutations(spec["degree"], spec["generators"], name=name)
@@ -655,22 +745,25 @@ def group_from_permutations(
     degree: int,
     generators: Sequence[Sequence[int]],
     name: Optional[str] = None,
-    cap: int = DEFAULT_ELEMENT_CAP,
 ) -> FiniteGroup:
     """Closure of permutation generators under composition.
 
-    Elements are indexed in discovery order with the identity first.  The
-    breadth-first closure records x * g for every element x and generator g;
-    the table is then built a column at a time from a * (x * g) = (a * x) * g,
-    one list lookup per entry instead of one permutation composition.
+    Each generator is read by `int_table` and must be a permutation of
+    range(degree).  Elements are indexed in discovery order with the
+    identity first; a closure over DEFAULT_ELEMENT_CAP elements raises
+    ClosureTooLarge.  The breadth-first closure records x * g for every
+    element x and generator g; the table is then built a column at a time
+    from a * (x * g) = (a * x) * g, one list lookup per entry instead of one
+    permutation composition.
     """
     ident = tuple(range(degree))
     gens = []
     for g in generators:
-        p = tuple(int(v) for v in g)
-        if sorted(p) != list(range(degree)):
-            raise TableInvalid("generator is not a permutation", tuple(p))
-        gens.append(p)
+        p = int_table(g, ndim=1)
+        in_range = p.shape == (degree,) and not ((p < 0) | (p >= degree)).any()
+        if not in_range or _non_permutations(p[None])[0]:
+            raise TableInvalid("generator is not a permutation", tuple(p.tolist()))
+        gens.append(tuple(p.tolist()))
     index = {ident: 0}
     queue = deque([ident])
     right = [[] for _ in gens]  # right[pos][x] = x * gens[pos]
@@ -682,8 +775,8 @@ def group_from_permutations(
             y = tuple(x[g[i]] for i in range(degree))  # x after g
             iy = index.get(y)
             if iy is None:
-                if len(index) >= cap:
-                    raise ClosureTooLarge(f"closure exceeds element cap {cap}")
+                if len(index) >= DEFAULT_ELEMENT_CAP:
+                    raise ClosureTooLarge(f"closure exceeds element cap {DEFAULT_ELEMENT_CAP}")
                 iy = index[y] = len(index)
                 parents.append((ix, pos))
                 queue.append(y)

@@ -10,6 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SearchBudgetExceeded, TableInvalid
+from .groups import int_table
 
 # enumeration cap for bracket-respecting sections: p^(center_dim * der_dim)
 SECTION_EXPONENT_CAP = 6
@@ -103,9 +104,10 @@ class LieAlgebra:
 
     @staticmethod
     def create(p: int, sc, name: Optional[str] = None) -> "LieAlgebra":
-        c = np.asarray(sc, dtype=np.int64) % p
-        d = c.shape[0] if c.ndim == 3 else 0
-        if d and c.shape != (d, d, d):
+        """The algebra on the constants `sc`, read by `int_table` and taken mod p."""
+        c = int_table(sc, ndim=3) % p
+        d = c.shape[0]
+        if c.shape != (d, d, d):
             raise TableInvalid("structure constants must be a d*d*d cube")
         if d:
             if not np.array_equal(c, (-c.transpose(1, 0, 2)) % p):
@@ -118,8 +120,9 @@ class LieAlgebra:
             if np.any(jac):
                 bad = np.argwhere(jac)[0]
                 raise TableInvalid("Jacobi identity fails", tuple(int(v) for v in bad))
-        cube = tuple(tuple(tuple(int(v) for v in row) for row in plane) for plane in c)
-        return LieAlgebra(p, d, cube, name)
+        L = LieAlgebra(p, d, tuple(tuple(map(tuple, plane)) for plane in c.tolist()), name)
+        L.__dict__["_c"] = c
+        return L
 
     @cached_property
     def _c(self) -> np.ndarray:
@@ -134,7 +137,7 @@ class LieAlgebra:
 
 
 def abelian_lie(dim: int, p: int) -> LieAlgebra:
-    return LieAlgebra.create(p, np.zeros((dim, dim, dim)), f"abelian{dim}(F{p})")
+    return LieAlgebra.create(p, np.zeros((dim, dim, dim), dtype=np.int64), f"abelian{dim}(F{p})")
 
 
 def nonabelian2(p: int) -> LieAlgebra:
@@ -172,7 +175,8 @@ def lie_derivations(L: LieAlgebra) -> DerivationData:
     """
     p, d = L.p, L.dim
     if d == 0:
-        der = LieAlgebra.create(p, np.zeros((0, 0, 0)), f"Der({L.name})" if L.name else None)
+        der = LieAlgebra.create(p, np.zeros((0, 0, 0), dtype=np.int64),
+                                f"Der({L.name})" if L.name else None)
         return DerivationData(L, (), der, np.zeros((0, 0), dtype=np.int64))
     c = L._c
     eye = np.eye(d, dtype=np.int64)
@@ -216,30 +220,28 @@ class LieReport:
     section: Optional[tuple] = None
 
 
-def _bracket_respecting_sections(
-    L: LieAlgebra, data: DerivationData, limit: int = 1
-) -> list[np.ndarray]:
-    """Linear sections s of ad: L -> Der with s a Lie map, as (d, m) matrices.
+def _bracket_respecting_section(L: LieAlgebra, data: DerivationData) -> Optional[np.ndarray]:
+    """The first linear section s of ad: L -> Der with s a Lie map, as a (d, m) matrix, or None.
 
-    The affine family of linear sections is S0 + Z @ C over all C; each
-    member is tested against every basis bracket of Der.  Enumeration size
-    p^(z*m) is capped; exceeding the cap raises instead of guessing.
+    The affine family of linear sections is S0 + Z @ C over all C, in the
+    lexicographic order of C's entries; each member is tested against every
+    basis bracket of Der.  Enumeration size p^(z*m) is capped; exceeding the
+    cap raises instead of guessing.
     """
     p, d = L.p, L.dim
     A = data.ad_coords  # (m, d)
     m = data.der.dim
     if m == 0:
-        return [np.zeros((d, 0), dtype=np.int64)]
+        return np.zeros((d, 0), dtype=np.int64)
     S0 = solve_linear(A, np.eye(m, dtype=np.int64), p)  # (d, m)
     if S0 is None:
-        return []  # ad not surjective: no section at all
+        return None  # ad not surjective: no section at all
     Z = nullspace(A, p)  # (d, z) = center
     z = Z.shape[1]
     if z * m > SECTION_EXPONENT_CAP:
         raise SearchBudgetExceeded(f"section family of size {p}^{z * m}")
     iu, ju = np.triu_indices(m, 1)
     dsc = data.der._c[iu, ju]  # (pairs, m): [D_i, D_j] in Der's basis
-    out = []
     for entries in itertools.product(range(p), repeat=z * m):
         C = np.asarray(entries, dtype=np.int64).reshape(z, m)
         S = (S0 + Z @ C) % p
@@ -247,20 +249,28 @@ def _bracket_respecting_sections(
         want = (S @ dsc.T) % p
         got = np.einsum("ap,bp,abk->kp", S[:, iu], S[:, ju], L._c) % p
         if np.array_equal(want, got):
-            out.append(S)
-            if len(out) >= limit:
-                break
-    return out
+            return S
+    return None
 
 
-def lie_classify(L: LieAlgebra, check_derivation_algebra: bool = True) -> LieReport:
+def lie_classify(L: LieAlgebra) -> LieReport:
     """Completeness verdicts with ad in the role of the conjugation morphism.
 
     strong-complete iff ad: L -> Der(L) is bijective; proto-complete iff ad
     admits a bracket-respecting linear section.  For perfect centerless L
     the derivation algebra itself must come out strong-complete, which is
-    asserted here by recursing once.
+    asserted here by classifying it once more.
     """
+    rep, der = _lie_verdicts(L)
+    if rep.is_perfect and rep.center_dim == 0:
+        assert _lie_verdicts(der)[0].strong_complete, (
+            "derivation algebra of a perfect centerless algebra must be strong-complete"
+        )
+    return rep
+
+
+def _lie_verdicts(L: LieAlgebra) -> tuple[LieReport, LieAlgebra]:
+    """The report of `lie_classify` and the derivation algebra Der(L)."""
     p, d = L.p, L.dim
     data = lie_derivations(L)
     m = data.der.dim
@@ -279,19 +289,12 @@ def lie_classify(L: LieAlgebra, check_derivation_algebra: bool = True) -> LieRep
     else:
         is_perfect = True
     strong = center_dim == 0 and m == d
-    sections = _bracket_respecting_sections(L, data, limit=1)
-    proto = bool(sections)
+    S = _bracket_respecting_section(L, data)
+    proto = S is not None
     if strong:
         assert proto, "a bijective ad admits its inverse as a section"
-    if is_perfect and center_dim == 0 and check_derivation_algebra:
-        der_rep = lie_classify(data.der, check_derivation_algebra=False)
-        assert der_rep.strong_complete, (
-            "derivation algebra of a perfect centerless algebra must be strong-complete"
-        )
-    section = None
-    if sections:
-        section = tuple(tuple(int(v) for v in row) for row in sections[0])
-    return LieReport(
+    section = None if S is None else tuple(tuple(row) for row in S.tolist())
+    report = LieReport(
         name=L.name or f"lie-dim-{d}-F{p}",
         p=p,
         dim=d,
@@ -302,3 +305,4 @@ def lie_classify(L: LieAlgebra, check_derivation_algebra: bool = True) -> LieRep
         strong_complete=strong,
         section=section,
     )
+    return report, data.der

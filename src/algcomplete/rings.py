@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import TableInvalid
-from .groups import FiniteGroup, first_mismatch, validate_table
+from .groups import FiniteGroup, first_mismatch, int_table, validate_table
 
 
 @dataclass(frozen=True)
@@ -27,17 +27,25 @@ class FiniteRing:
 
     @staticmethod
     def create(add_table, mul_table, name: Optional[str] = None) -> "FiniteRing":
-        at = tuple(tuple(int(v) for v in row) for row in add_table)
-        mt = tuple(tuple(int(v) for v in row) for row in mul_table)
-        validate_table(at)
-        n = len(at)
-        if len(mt) != n or any(len(r) != n for r in mt):
+        """A ring on the two tables, each read once by `int_table`.
+
+        The addition table must be an abelian group table (`validate_table`),
+        and the multiplication table one of the same shape with entries in
+        range, associative and distributive over the addition.
+        """
+        A = validate_table(add_table)
+        n = len(A)
+        try:
+            M = int_table(mul_table)
+        except TableInvalid as exc:
+            if exc.reason != "table is not square":
+                raise
+            M = None  # ragged
+        if M is None or M.shape != (n, n):
             raise TableInvalid("multiplication table shape mismatch")
-        A = np.asarray(at, dtype=np.int64)
-        M = np.asarray(mt, dtype=np.int64)
         if not np.array_equal(A, A.T):
             raise TableInvalid("addition is not commutative")
-        if M.min() < 0 or M.max() >= n:
+        if n and (M.min() < 0 or M.max() >= n):
             raise TableInvalid("multiplication entry out of range")
         # one law after the other, each over ROW_BLOCK rows of i at a time
         bad = first_mismatch(n, lambda rows: M[M[rows]], lambda rows: M[rows][:, M])
@@ -58,7 +66,7 @@ class FiniteRing:
         )
         if right is not None:
             raise TableInvalid("right distributivity fails")
-        R = FiniteRing(at, mt, name)
+        R = FiniteRing(tuple(map(tuple, A.tolist())), tuple(map(tuple, M.tolist())), name)
         R.__dict__["np_add"] = A
         R.__dict__["np_mul"] = M
         return R
@@ -166,9 +174,10 @@ def unitalization(R: FiniteRing) -> Unitalization:
     A, M, K = R.np_add, R.np_mul, _multiples(R, m)
     a, r = np.divmod(np.arange(m * n), n)  # x = a*n + r
     a1, r1, a2, r2 = a[:, None], r[:, None], a[None, :], r[None, :]
-    at = (((a1 + a2) % m) * n + A[r1, r2]).tolist()
+    at = ((a1 + a2) % m) * n + A[r1, r2]
     # (a,r)(b,s) = (ab, a.s + b.r + rs)
-    mt = (((a1 * a2) % m) * n + A[A[K[a1, r2], K[a2, r1]], M[r1, r2]]).tolist()
+    mt = ((a1 * a2) % m) * n + A[A[K[a1, r2], K[a2, r1]], M[r1, r2]]
+    at.flags.writeable = mt.flags.writeable = False  # so `create` keeps them without a copy
     name = f"Z{m}|x{R.name}" if R.name else None
     return Unitalization(R, m, FiniteRing.create(at, mt, name))
 

@@ -1,5 +1,6 @@
 """Node budgets: five entry points take one, every other search has a fixed, labelled limit."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -108,3 +109,14 @@ def test_automorphism_group_does_not_depend_on_call_order(monkeypatch):
     assert automorphism_group(A5) is cold and len(cold.elems) == 120
     monkeypatch.setattr(automorphisms, "_AUT_CACHE", {})
     assert automorphism_group(A5).elems == cold.elems
+
+
+def test_deleted_options_stay_deleted():
+    """No public callable takes an element cap, extra audit factors or a recursion switch."""
+    for name, fn in public_callables():
+        params = set(inspect.signature(fn).parameters)
+        assert not params & {"cap", "factors", "check_derivation_algebra"}, name
+    assert [f.name for f in dataclasses.fields(completeness.ClassificationReport)] == [
+        "name", "order", "center_order", "aut_order", "inn_order", "out_order",
+        "proto_complete", "proto_section", "strong_complete",
+    ]

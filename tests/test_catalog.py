@@ -14,7 +14,7 @@ from algcomplete.catalog import (
     symmetric,
 )
 from algcomplete.commutators import center
-from algcomplete.errors import ConfigInvalid
+from algcomplete.errors import ConfigInvalid, SizeCap
 from algcomplete.extensions import iter_actions, semidirect_product
 from algcomplete.groups import FiniteGroup, is_isomorphic
 
@@ -143,3 +143,18 @@ def test_resolve_catalog_rejects_duplicates():
 def test_resolve_catalog_rejects_unknown_reference():
     with pytest.raises(ConfigInvalid):
         resolve_catalog([{"name": "p", "product": ["x", "y"]}])
+
+
+@pytest.mark.parametrize("build, n", [
+    (cyclic, 513), (dihedral, 257), (dicyclic, 129), (symmetric, 6), (alternating, 7),
+    (symmetric, 10**9),
+])
+def test_named_groups_over_the_element_cap_raise_size_cap(build, n):
+    with pytest.raises(SizeCap, match="has more than 512 elements"):
+        build(n)
+
+
+def test_named_groups_at_the_element_cap_are_built():
+    assert cyclic(512).order == 512 and dicyclic(128).order == 512
+    assert alternating(6).order == 360 and symmetric(5).order == 120
+

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algcomplete.catalog import cyclic, dihedral, symmetric
-from algcomplete.errors import ClosureTooLarge, NotASubgroup, TableInvalid
+from algcomplete.errors import ClosureTooLarge, NotASubgroup, SizeCap, TableInvalid
 from algcomplete.groups import (
     FiniteGroup,
     GroupHom,
@@ -16,6 +16,7 @@ from algcomplete.groups import (
     find_constrained_hom,
     greedy_generators,
     group_from_permutations,
+    int_table,
     is_isomorphic,
     load_group,
     normal_subgroups,
@@ -69,6 +70,193 @@ def test_validate_witness_beyond_first_row_block():
         validate_table(table)
     assert err.value.reason == "associativity fails"
     assert err.value.witness == reference
+
+
+def reference_validate_table(table):
+    """The loop version of `validate_table`: the reference for every reason and witness."""
+    n = len(table)
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise TableInvalid("table is not square", (i,))
+        for j, v in enumerate(row):
+            if not (0 <= v < n):
+                raise TableInvalid("entry out of range", (i, j, v))
+    for j in range(n):
+        if table[0][j] != j:
+            raise TableInvalid("identity law fails on the left", (0, j))
+    for i in range(n):
+        if table[i][0] != i:
+            raise TableInvalid("identity law fails on the right", (i, 0))
+    for i in range(n):
+        if sorted(table[i]) != list(range(n)):
+            raise TableInvalid("row is not a permutation", (i,))
+        if sorted(table[j][i] for j in range(n)) != list(range(n)):
+            raise TableInvalid("column is not a permutation", (i,))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if table[table[i][j]][k] != table[i][table[j][k]]:
+            raise TableInvalid("associativity fails", (i, j, k))
+
+
+def verdict(check, table):
+    """None if `check` accepts `table`, else the (reason, witness) it raises."""
+    try:
+        check(table)
+    except TableInvalid as err:
+        return err.reason, err.witness
+    return None
+
+
+def _relabelled(table, new):
+    """`table` with element x renamed new[x]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            v = table[a][b]
+            out[new[a]][new[b]] = new[v] if 0 <= v < n else v
+    return out
+
+
+@st.composite
+def broken_tables(draw, groups):
+    """A group table or LOOP5 with one or two breaks; a ragged row is always the last break."""
+    table = [list(row) for row in draw(st.sampled_from(groups))]
+    n = len(table)
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    kinds = ["entry", "swap", "range", "identity"]
+    breaks = draw(st.lists(st.sampled_from(kinds), max_size=1))
+    breaks.append(draw(st.sampled_from(kinds + ["ragged"])))
+    for kind in breaks:
+        if kind == "entry":
+            (i, j), v = draw(cell), draw(st.integers(0, n - 1))
+            table[i][j] = v
+        elif kind == "swap":
+            i, j = draw(cell)
+            table[i], table[j] = table[j], table[i]
+        elif kind == "range":
+            (i, j), v = draw(cell), draw(st.sampled_from([-1, n, n + 7]))
+            table[i][j] = v
+        elif kind == "identity":
+            new = draw(st.permutations(range(n)))
+            table = _relabelled(table, new)
+        else:
+            i = draw(st.integers(0, n - 1))
+            table[i] = table[i][:-1] if draw(st.booleans()) else table[i] + [0]
+    return table
+
+
+SMALL_TABLES = [G.table for G in (cyclic(1), cyclic(2), cyclic(5), dihedral(2), dihedral(3),
+                                  dihedral(4), cyclic(12))] + [tuple(map(tuple, LOOP5))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(broken_tables(SMALL_TABLES))
+def test_validate_table_matches_the_loop_reference(table):
+    assert verdict(validate_table, table) == verdict(reference_validate_table, table)
+
+
+@pytest.mark.parametrize("table, expected", [
+    ([[0, 1], [1, 1]], ("row is not a permutation", (1,))),
+    ([[0, 1], [1]], ("table is not square", (1,))),
+    ([[0, 1, 2], [1, 2, 0]], ("table is not square", (0,))),
+    ([[0, 1], [1, 2]], ("entry out of range", (1, 1, 2))),
+    ([[0, 1], [0, 1]], ("identity law fails on the right", (1, 0))),
+    ([[0, 1, 2], [1, 0, 2], [2, 1, 0]], ("column is not a permutation", (1,))),
+    (LOOP5, ("associativity fails", (1, 1, 2))),
+    ([], None),
+    ([[0]], None),
+])
+def test_validate_table_fixed_cases(table, expected):
+    assert verdict(validate_table, table) == expected
+    assert verdict(reference_validate_table, table) == expected
+
+
+def test_validate_table_returns_the_checked_array(S3):
+    t = validate_table(S3.table)
+    assert t.dtype == np.int64 and t.tolist() == [list(row) for row in S3.table]
+    assert FiniteGroup.from_table(S3.table).np_table.tolist() == t.tolist()
+
+
+@pytest.mark.parametrize("data, ndim, expected", [
+    ([[0, 1], [1, 0.9]], 2, ("entry is not an integer", (1, 1, 0.9))),
+    ([[0.0, 1.0], [1.0, 0.0]], 2, ("entry is not an integer", (0, 0, 0.0))),
+    ([[True, False], [False, True]], 2, ("entry is not an integer", (0, 0, True))),
+    ([[0, "1"], [1, 0]], 2, ("entry is not an integer", (0, 1, "1"))),
+    ([[0, None], [1, 0]], 2, ("entry is not an integer", (0, 1, None))),
+    ([[0, 2**70], [1, 0]], 2, ("entry out of range", (0, 1, 2**70))),
+    ([[0, 1], 1], 2, ("table is not square", (1,))),
+    ([[0, [1]], [1, 0]], 2, ("entry is not an integer", (0, 1, [1]))),
+    ([[[0, 0], [0, 0]], [[0, 0], [0]]], 3, ("table is not square", (1, 1))),
+    ([0, 1, 2.5], 1, ("entry is not an integer", (2, 2.5))),
+    (np.zeros((2, 2)), 2, ("entry is not an integer", (0, 0, 0.0))),
+])
+def test_int_table_rejects_ragged_rows_and_non_integers(data, ndim, expected):
+    assert verdict(lambda d: int_table(d, ndim), data) == expected
+
+
+def test_int_table_accepts_integer_data(Z2):
+    t = np.array(Z2.table, dtype=np.int64)
+    assert np.array_equal(int_table(t), t) and not np.shares_memory(int_table(t), t)
+    G = FiniteGroup.from_table(t)
+    t[0, 0] = 1  # the caller's array is not the group's
+    assert G.np_table[0, 0] == 0
+    t.flags.writeable = False
+    assert int_table(t) is t  # nobody can write to it: no copy
+    assert int_table([]).shape == (0, 0) and int_table([], 3).shape == (0, 0, 0)
+    assert int_table([[0, 1], [1, 0]]).dtype == np.int64
+    assert int_table([[0, 1, 2]]).shape == (1, 3)  # rectangular: the caller checks the shape
+
+
+def reference_load_cayley(table):
+    """The scan-and-index relabel: identity found entry by entry, moved to 0 by perm.index."""
+    n = len(table)
+    ident = next(e for e in range(n) if all(table[e][j] == j for j in range(n))
+                 and all(table[i][e] == i for i in range(n)))
+    if ident != 0:
+        perm = list(range(n))
+        perm[0], perm[ident] = ident, 0
+        table = [[perm.index(table[perm[i]][perm[j]]) for j in range(n)] for i in range(n)]
+    return FiniteGroup.from_table(table)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_load_group_relabel_matches_the_reference(catalog, data):
+    G = data.draw(st.sampled_from(catalog))
+    table = _relabelled(G.table, data.draw(st.permutations(range(G.order))))
+    assert load_group({"cayley": table}).table == reference_load_cayley(table).table
+
+
+@pytest.mark.parametrize("table, expected", [
+    ([[0, 1], [1, 1]], ("row is not a permutation", (1,))),
+    ([[0, 1], [1]], ("table is not square", (1,))),
+    ([], ("no identity element", ())),
+    ([[1, 0], [0, 5]], ("no identity element", ())),
+    ([[1, 0], [0, 1]], None),
+    ([[1, 0, 5], [0, 1, 2], [2, 2, 0]], ("entry out of range", (0, 2, 5))),  # not relabelled
+    ([[0, 1], [1, 0.9]], ("entry is not an integer", (1, 1, 0.9))),
+])
+def test_load_group_rejections(table, expected):
+    assert verdict(lambda t: load_group({"cayley": t}), table) == expected
+
+
+def test_load_group_checks_the_size_first():
+    with pytest.raises(SizeCap):
+        load_group({"cayley": [[0.5]] * 513})
+
+
+def test_permutation_generators_must_be_integer_permutations():
+    with pytest.raises(TableInvalid, match=r"entry is not an integer \(witness: \(2, 2.5\)\)"):
+        group_from_permutations(3, [[0, 1, 2.5]])
+    with pytest.raises(TableInvalid, match=r"generator is not a permutation \(witness: \(1, 0\)\)"):
+        group_from_permutations(3, [[0, 1, 2], [1, 0]])
+    with pytest.raises(TableInvalid, match="generator is not a permutation"):
+        group_from_permutations(3, [[0, 1, 1]])
+
+
+def test_subgroup_create_rejects_elements_outside_the_parent(S3):
+    with pytest.raises(NotASubgroup, match="element 99 out of range"):
+        Subgroup.create(S3, [0, 99])
 
 
 def test_load_group_relabels_identity():

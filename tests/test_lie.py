@@ -8,7 +8,7 @@ from algcomplete.errors import TableInvalid
 from algcomplete.lie import (
     SECTION_EXPONENT_CAP,
     LieAlgebra,
-    _bracket_respecting_sections,
+    _bracket_respecting_section,
     _rref,
     abelian_lie,
     lie_classify,
@@ -51,6 +51,17 @@ def test_create_rejects_non_antisymmetric():
     c[0, 1, 0] = 1  # missing the opposite sign
     with pytest.raises(TableInvalid):
         LieAlgebra.create(5, c)
+
+
+def test_create_rejects_non_integer_constants():
+    c = np.zeros((2, 2, 2), dtype=np.int64).tolist()
+    c[0][1][1], c[1][0][1] = 0.5, -0.5
+    with pytest.raises(TableInvalid) as err:
+        LieAlgebra.create(5, c)
+    assert (err.value.reason, err.value.witness) == ("entry is not an integer", (0, 1, 1, 0.5))
+    with pytest.raises(TableInvalid, match="entry is not an integer"):
+        LieAlgebra.create(5, np.zeros((2, 2, 2)))  # float zeros
+    assert LieAlgebra.create(3, []).dim == 0
 
 
 def test_create_rejects_jacobi_failure():
@@ -348,10 +359,12 @@ def test_derivation_data_matches_the_reference(L):
     assert data.basis == basis
     assert np.array_equal(data.der._c, sc)
     assert np.array_equal(data.ad_coords, ad_coords)
-    limit = L.p ** SECTION_EXPONENT_CAP
-    sections = _bracket_respecting_sections(L, data, limit)
-    reference = reference_sections(L, data, limit)
-    assert [S.tolist() for S in sections] == [S.tolist() for S in reference]
+    # the search returns the first section of the reference's enumeration order
+    section = _bracket_respecting_section(L, data)
+    reference = reference_sections(L, data, L.p ** SECTION_EXPONENT_CAP)
+    assert (None if section is None else section.tolist()) == (
+        reference[0].tolist() if reference else None
+    )
 
 
 def test_heisenberg_has_center_and_outer_derivations():

@@ -33,6 +33,19 @@ def test_create_rejects_bad_distributivity():
         FiniteRing.create(add, bad_mul)
 
 
+@pytest.mark.parametrize("add, mul, expected", [
+    ([[0, 1], [1, 0]], [[0, 0], [0, 1.5]], ("entry is not an integer", (1, 1, 1.5))),
+    ([[0, 1], [1, 0.0]], [[0, 0], [0, 1]], ("entry is not an integer", (1, 1, 0.0))),
+    ([[0, 1], [1, 0]], [[0, 0], [0]], ("multiplication table shape mismatch", ())),
+    ([[0, 1], [1, 0]], [[0, 0, 0], [0, 1, 0]], ("multiplication table shape mismatch", ())),
+    ([[0, 1], [1, 0]], [[0, 0], [0, 2]], ("multiplication entry out of range", ())),
+])
+def test_create_reads_both_tables_as_integers(add, mul, expected):
+    with pytest.raises(TableInvalid) as err:
+        FiniteRing.create(add, mul)
+    assert (err.value.reason, err.value.witness) == expected
+
+
 def test_associativity_witness_beyond_first_row_block():
     # rows 0..15 of the product are zero, so associativity holds for i < 16
     n = 20
