@@ -21,6 +21,7 @@ from .groups import (
     is_isomorphic,
     load_group,
     quotient,
+    recipe_integer,
 )
 from .automorphisms import automorphism_group
 from .commutators import center
@@ -208,22 +209,12 @@ _NAMED = {"cyclic": cyclic, "dihedral": dihedral, "dicyclic": dicyclic,
           "symmetric": symmetric, "alternating": alternating}
 
 
-def _integer(value, field: str) -> int:
-    """A recipe number: an integer or a string of one, never a float or a bool."""
-    if isinstance(value, (bool, float)):
-        raise ConfigInvalid(f"{field} must be an integer, not {value!r}")
-    return int(value)
-
-
 def _resolve_entry(entry: dict, named: dict) -> FiniteGroup:
-    if "cayley" in entry:
+    if "cayley" in entry or "permutations" in entry:
         return load_group(entry)
-    if "permutations" in entry:
-        spec = entry["permutations"]
-        return group_from_permutations(_integer(spec["degree"], "degree"), spec["generators"])
     for key, build in _NAMED.items():
         if key in entry:
-            return build(_integer(entry[key], key))
+            return build(recipe_integer(entry[key], key))
     if "product" in entry:
         a, b = entry["product"]
         return direct_product(_lookup(named, a), _lookup(named, b))[0]

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     ClosureTooLarge,
     CodomainMismatch,
+    ConfigInvalid,
     NotASubgroup,
     NotNormal,
     SearchBudgetExceeded,
@@ -76,23 +77,36 @@ def _table_fault(data, ndim: int) -> Optional[TableInvalid]:
     return walk(data, ())
 
 
+def _holds_bool(data, ndim: int) -> bool:
+    """Whether the rectangular nested `data` has a bool entry, which numpy reads as 0 or 1.
+
+    One pass of `type` over the entries, without a Python loop.
+    """
+    entries = data
+    for _ in range(ndim - 1):
+        entries = itertools.chain.from_iterable(entries)
+    kinds = set(map(type, entries))
+    return bool in kinds or np.bool_ in kinds
+
+
 def int_table(data, ndim: int = 2) -> np.ndarray:
     """Outside data as an int64 array with `ndim` axes: the one intake of every table.
 
     Cayley tables, ring tables, structure constants and permutations are all
-    read here, once.  An integer array is taken as int64, copied unless it
-    is read-only.  Other data is converted; ragged rows or an entry that is
-    not an integer (a float, even 1.0, a string, None, or a bool, except
-    that numpy reads a bool among integers as 0 or 1) raise TableInvalid
-    naming the first fault (`_table_fault`).  A rectangular array is returned whatever
-    its shape: callers check the shape they need.  Empty data is the empty
+    read here, once.  A signed integer array is taken as int64, copied
+    unless it is read-only.  Other data is converted; ragged rows or an
+    entry that is not an integer (a float, even 1.0, a string, None or a
+    bool) or does not fit in int64 raise TableInvalid naming the first
+    fault (`_table_fault`).  A rectangular array is returned whatever its
+    shape: callers check the shape they need.  Empty data is the empty
     table.
     """
     try:
         a = np.asarray(data)
     except ValueError:  # numpy refuses ragged rows
         a = None
-    if a is not None and a.ndim == ndim and a.dtype.kind in "iu":
+    if (a is not None and a.ndim == ndim and a.dtype.kind == "i"
+            and (isinstance(data, np.ndarray) or not _holds_bool(data, ndim))):
         # a caller's array that it can still write to is copied, so that writing
         # to it later cannot change an object built from it
         return a.astype(np.int64, copy=a is data and a.flags.writeable)
@@ -705,6 +719,13 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
 # -- constructions -----------------------------------------------------------
 
 
+def recipe_integer(value, field: str) -> int:
+    """A number of a JSON recipe: an integer or a string of one, never a float or a bool."""
+    if isinstance(value, (bool, float)):
+        raise ConfigInvalid(f"{field} must be an integer, not {value!r}")
+    return int(value)
+
+
 def load_group(source: dict) -> FiniteGroup:
     """Build a validated group from the JSON input schema.
 
@@ -737,7 +758,8 @@ def load_group(source: dict) -> FiniteGroup:
         return FiniteGroup.from_table(t, name)
     if "permutations" in source:
         spec = source["permutations"]
-        return group_from_permutations(spec["degree"], spec["generators"], name=name)
+        degree = recipe_integer(spec["degree"], "degree")
+        return group_from_permutations(degree, spec["generators"], name=name)
     raise TableInvalid("source must contain 'cayley' or 'permutations'")
 
 

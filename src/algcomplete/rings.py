@@ -35,6 +35,8 @@ class FiniteRing:
         """
         A = validate_table(add_table)
         n = len(A)
+        if n == 0:
+            raise TableInvalid("no identity element")
         try:
             M = int_table(mul_table)
         except TableInvalid as exc:
@@ -45,7 +47,7 @@ class FiniteRing:
             raise TableInvalid("multiplication table shape mismatch")
         if not np.array_equal(A, A.T):
             raise TableInvalid("addition is not commutative")
-        if n and (M.min() < 0 or M.max() >= n):
+        if M.min() < 0 or M.max() >= n:
             raise TableInvalid("multiplication entry out of range")
         # one law after the other, each over ROW_BLOCK rows of i at a time
         bad = first_mismatch(n, lambda rows: M[M[rows]], lambda rows: M[rows][:, M])

@@ -118,13 +118,15 @@ def semidirect(action):
     ([Z3, semidirect([0, 1, 1])], "action is not a hom"),
     ([{"name": "K", "cayley": [[0, 1], [1, 0.9]]}],
      "entry is not an integer (witness: (1, 1, 0.9))"),
+    ([{"name": "K", "cayley": [[0, True], [True, 0]]}],
+     "entry is not an integer (witness: (0, 1, True))"),
     ([{"name": "K", "permutations": {"degree": 3, "generators": [[0, 1, 2.5]]}}],
      "entry is not an integer (witness: (2, 2.5))"),
     ([Z3, {"name": "Q", "quotient": {"parent": "Z3", "subgroup": [0, 99]}}],
      "element 99 out of range for order 3"),
     ([{"name": "K", "cyclic": 513}], "Z513 has more than 512 elements"),
     ([{"name": "K", "symmetric": 6}], "S6 has more than 512 elements"),
-], ids=["cayley", "action-range", "action-hom", "cayley-float", "permutation-float",
+], ids=["cayley", "action-range", "action-hom", "cayley-float", "cayley-bool", "permutation-float",
         "quotient-index", "cyclic-over-cap", "symmetric-over-cap"])
 @pytest.mark.parametrize("flag", ["--catalog", "--universe"])
 def test_invalid_catalog_is_config_error(tmp_path, capsys, entries, message, flag):
@@ -146,9 +148,10 @@ def test_invalid_catalog_is_config_error(tmp_path, capsys, entries, message, fla
     ({"symmetric": False}, "symmetric must be an integer, not False"),
     ({"alternating": 5.5}, "alternating must be an integer, not 5.5"),
     ({"permutations": {"degree": 2.5, "generators": []}}, "degree must be an integer, not 2.5"),
+    ({"permutations": {"degree": True, "generators": []}}, "degree must be an integer, not True"),
 ], ids=["semidirect-no-actor", "cyclic-not-int", "cyclic-zero", "product-one-factor",
         "permutations-no-generators", "cyclic-float", "dihedral-bool", "dicyclic-float",
-        "symmetric-bool", "alternating-float", "degree-float"])
+        "symmetric-bool", "alternating-float", "degree-float", "degree-bool"])
 def test_malformed_recipe_names_the_entry(tmp_path, capsys, recipe, detail):
     path = write_catalog(tmp_path, [Z3, {"name": "K", **recipe}])
     assert run_report(["--catalog", path, "--mode", "classify"]) == 2

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algcomplete.catalog import cyclic, dihedral, symmetric
-from algcomplete.errors import ClosureTooLarge, NotASubgroup, SizeCap, TableInvalid
+from algcomplete.errors import (
+    ClosureTooLarge,
+    ConfigInvalid,
+    NotASubgroup,
+    SizeCap,
+    TableInvalid,
+)
 from algcomplete.groups import (
     FiniteGroup,
     GroupHom,
@@ -188,6 +194,11 @@ def test_validate_table_returns_the_checked_array(S3):
     ([[0, [1]], [1, 0]], 2, ("entry is not an integer", (0, 1, [1]))),
     ([[[0, 0], [0, 0]], [[0, 0], [0]]], 3, ("table is not square", (1, 1))),
     ([0, 1, 2.5], 1, ("entry is not an integer", (2, 2.5))),
+    ([[0, True], [True, 0]], 2, ("entry is not an integer", (0, 1, True))),  # numpy reads 0, 1
+    ([0, True, 2], 1, ("entry is not an integer", (1, True))),
+    ([[0, 1], [1, np.bool_(False)]], 2, ("entry is not an integer", (1, 1, False))),
+    (np.array([[0, 2**63], [1, 0]], dtype=np.uint64), 2, ("entry out of range", (0, 1, 2**63))),
+    ([[0, 2**63], [1, 0]], 2, ("entry out of range", (0, 1, 2**63))),  # numpy reads uint64
     (np.zeros((2, 2)), 2, ("entry is not an integer", (0, 0, 0.0))),
 ])
 def test_int_table_rejects_ragged_rows_and_non_integers(data, ndim, expected):
@@ -205,6 +216,8 @@ def test_int_table_accepts_integer_data(Z2):
     assert int_table([]).shape == (0, 0) and int_table([], 3).shape == (0, 0, 0)
     assert int_table([[0, 1], [1, 0]]).dtype == np.int64
     assert int_table([[0, 1, 2]]).shape == (1, 3)  # rectangular: the caller checks the shape
+    u = int_table(np.array([[0, 1], [1, 0]], dtype=np.uint8))
+    assert u.dtype == np.int64 and u.tolist() == [[0, 1], [1, 0]]
 
 
 def reference_load_cayley(table):
@@ -235,9 +248,20 @@ def test_load_group_relabel_matches_the_reference(catalog, data):
     ([[1, 0], [0, 1]], None),
     ([[1, 0, 5], [0, 1, 2], [2, 2, 0]], ("entry out of range", (0, 2, 5))),  # not relabelled
     ([[0, 1], [1, 0.9]], ("entry is not an integer", (1, 1, 0.9))),
+    ([[0, True], [True, 0]], ("entry is not an integer", (0, 1, True))),
 ])
 def test_load_group_rejections(table, expected):
     assert verdict(lambda t: load_group({"cayley": t}), table) == expected
+
+
+@pytest.mark.parametrize("degree, message", [
+    (True, "degree must be an integer, not True"),
+    (2.5, "degree must be an integer, not 2.5"),
+])
+def test_load_group_reads_the_degree_as_an_integer(degree, message):
+    with pytest.raises(ConfigInvalid, match=message):
+        load_group({"permutations": {"degree": degree, "generators": []}})
+    assert load_group({"permutations": {"degree": "2", "generators": [[1, 0]]}}).order == 2
 
 
 def test_load_group_checks_the_size_first():

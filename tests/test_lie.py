@@ -61,6 +61,11 @@ def test_create_rejects_non_integer_constants():
     assert (err.value.reason, err.value.witness) == ("entry is not an integer", (0, 1, 1, 0.5))
     with pytest.raises(TableInvalid, match="entry is not an integer"):
         LieAlgebra.create(5, np.zeros((2, 2, 2)))  # float zeros
+    big = np.zeros((2, 2, 2), dtype=np.uint64)
+    big[0, 1, 0] = 2**63  # would wrap to a negative int64, then a wrong residue mod 5
+    with pytest.raises(TableInvalid) as err:
+        LieAlgebra.create(5, big)
+    assert (err.value.reason, err.value.witness) == ("entry out of range", (0, 1, 0, 2**63))
     assert LieAlgebra.create(3, []).dim == 0
 
 

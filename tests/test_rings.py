@@ -39,6 +39,8 @@ def test_create_rejects_bad_distributivity():
     ([[0, 1], [1, 0]], [[0, 0], [0]], ("multiplication table shape mismatch", ())),
     ([[0, 1], [1, 0]], [[0, 0, 0], [0, 1, 0]], ("multiplication table shape mismatch", ())),
     ([[0, 1], [1, 0]], [[0, 0], [0, 2]], ("multiplication entry out of range", ())),
+    ([[0, 1], [1, 0]], [[0, 0], [0, True]], ("entry is not an integer", (1, 1, True))),
+    ([], [], ("no identity element", ())),
 ])
 def test_create_reads_both_tables_as_integers(add, mul, expected):
     with pytest.raises(TableInvalid) as err:
