@@ -123,24 +123,20 @@ class AutomorphismGroup:
         return FiniteGroup(table, name)
 
 
-_AUT_CACHE: dict[FiniteGroup, AutomorphismGroup] = {}
-
-
 def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
     """Complete automorphism list via backtracking on generator images.
 
     Generators range over elements of equal order; partial maps are pruned
     by closure consistency and injectivity.  The search has the fixed limit
-    DEFAULT_SEARCH_BUDGET, so a cached result never depends on call order.
+    DEFAULT_SEARCH_BUDGET, so the result never depends on call order.  It is
+    kept on G, so it lives as long as G does.
     """
-    cached = _AUT_CACHE.get(G)
-    if cached is not None:
-        return cached
-    b = _Budget(DEFAULT_SEARCH_BUDGET, "automorphism search")
-    perms = sorted(iter_hom_images(G, G, budget=b, injective=True))
-    assert perms[0] == tuple(range(G.order))
-    aut = AutomorphismGroup(G, tuple(perms))
-    _AUT_CACHE[G] = aut
+    aut = G.__dict__.get("automorphism_group")
+    if aut is None:
+        b = _Budget(DEFAULT_SEARCH_BUDGET, "automorphism search")
+        perms = sorted(iter_hom_images(G, G, budget=b, injective=True))
+        assert perms[0] == tuple(range(G.order))
+        aut = G.__dict__["automorphism_group"] = AutomorphismGroup(G, tuple(perms))
     return aut
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ConfigInvalid, SizeCap
+from .errors import AlgebraError, ConfigInvalid, SizeCap
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     FiniteGroup,
@@ -116,9 +116,6 @@ def alternating(n: int) -> FiniteGroup:
     return group_from_permutations(n, gens, name=f"A{n}")
 
 
-_CATALOG_CACHE: dict[int, tuple[FiniteGroup, ...]] = {}
-
-
 def build_catalog(max_order: int = 24) -> tuple[FiniteGroup, ...]:
     """All groups of order <= max_order up to isomorphism, deterministically.
 
@@ -126,11 +123,9 @@ def build_catalog(max_order: int = 24) -> tuple[FiniteGroup, ...]:
     Closure: semidirect products X : B over every action, while the product
     order fits.  Each round builds only the pairs with X or B found in the
     round before, since every other pair was built in an earlier round.  The
-    result is sorted by (order, discovery index).
+    result is sorted by (order, discovery index).  Every call builds the
+    catalog afresh; a caller that needs it twice keeps it.
     """
-    cached = _CATALOG_CACHE.get(max_order)
-    if cached is not None:
-        return cached
     pool: list[FiniteGroup] = []
     buckets: dict = {}  # cheap invariants -> the pool's groups that have them
 
@@ -173,9 +168,7 @@ def build_catalog(max_order: int = 24) -> tuple[FiniteGroup, ...]:
         counters[G.order] = k
         name = G.name if G.name and ":" not in G.name and "x" not in G.name else None
         renamed.append(FiniteGroup(G.table, name or f"G{G.order}.{k}"))
-    result = tuple(renamed)
-    _CATALOG_CACHE[max_order] = result
-    return result
+    return tuple(renamed)
 
 
 # -- catalog files -------------------------------------------------------------
@@ -193,8 +186,8 @@ def resolve_catalog(entries: Sequence[dict]) -> list[FiniteGroup]:
             raise ConfigInvalid(f"duplicate catalog name: {name}")
         try:
             G = _resolve_entry(entry, named)
-        except ConfigInvalid as exc:
-            raise ConfigInvalid(f"catalog entry {name!r}: {exc}") from None
+        except AlgebraError as exc:
+            raise exc.prefixed(f"catalog entry {name!r}") from None
         except KeyError as exc:
             raise ConfigInvalid(f"catalog entry {name!r}: missing field {exc}") from None
         except (TypeError, ValueError) as exc:

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Optional, Sequence
 
-from .errors import AlgebraError, ConfigInvalid, SearchBudgetExceeded, SizeCap
+from .errors import AlgebraError, ConfigInvalid
 from .groups import FiniteGroup, direct_product
 from .catalog import alternating, build_catalog, cyclic, resolve_catalog, symmetric
 from .completeness import (
@@ -148,22 +148,22 @@ def _job_audit(args) -> dict:
     }
 
 
-def _naming_group(job, args) -> dict:
-    """job(args), with the group's name put before a budget-exhaustion or size-cap message."""
+def _labelled(label: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with `label: ` put before the message of an AlgebraError it raises."""
     try:
-        return job(args)
-    except (SearchBudgetExceeded, SizeCap) as exc:
-        G = args[0]
-        raise type(exc)(f"{G.name or f'group-of-order-{G.order}'}: {exc}") from None
+        return fn(*args, **kwargs)
+    except AlgebraError as exc:
+        raise exc.prefixed(label) from None
 
 
 def _run_groups(job, catalog, extra, budget, jobs: int) -> list[dict]:
-    work = [(G, extra, budget) for G in catalog]
-    fn = partial(_naming_group, job)
-    if jobs > 1 and len(work) > 1:
+    """job((G, extra, budget)) for each G of the catalog; an error names its group."""
+    labels = [G.name or f"group-of-order-{G.order}" for G in catalog]
+    calls = (labels, [job] * len(catalog), [(G, extra, budget) for G in catalog])
+    if jobs > 1 and len(catalog) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, work))
-    return [fn(w) for w in work]
+            return list(pool.map(_labelled, *calls))
+    return list(map(_labelled, *calls))
 
 
 def _paper_examples(budget) -> list[dict]:
@@ -175,28 +175,29 @@ def _paper_examples(budget) -> list[dict]:
                        "pass": expected == actual})
 
     Z2, Z4, S3 = cyclic(2), cyclic(4), symmetric(3)
-    r2 = classify_completeness(Z2, budget=budget)
+    r2 = _labelled("Z2", classify_completeness, Z2, budget=budget)
     check("Z2 proto-complete", True, r2.proto_complete)
-    v = oracle_completeness(Z2, "complete", 2, [Z4], "Z4-only", budget)
+    v = _labelled("Z2", oracle_completeness, Z2, "complete", 2, [Z4], "Z4-only", budget)
     check("Z2 not complete (witness in Z4)", False, v.flag)
     check("Z2 witness is the doubling embedding", [0, 2],
           v.witness["image"] if v.witness else None)
-    r3 = classify_completeness(S3, budget=budget)
+    r3 = _labelled("S3", classify_completeness, S3, budget=budget)
     check("S3 strong-complete", True, r3.strong_complete)
     Z2xS3, _, _ = direct_product(Z2, S3, name="Z2xS3")
     check("Z2xS3 not proto-complete", False,
-          classify_completeness(Z2xS3, budget=budget).proto_complete)
+          _labelled("Z2xS3", classify_completeness, Z2xS3, budget=budget).proto_complete)
     check("Z4 not proto-complete", False,
-          classify_completeness(Z4, budget=budget).proto_complete)
+          _labelled("Z4", classify_completeness, Z4, budget=budget).proto_complete)
     A5 = alternating(5)
-    audit = char_simple_audit(A5, budget=budget)
+    audit = _labelled("A5", char_simple_audit, A5, budget=budget)
     check("Aut(A5) order", 120, audit.aut_order)
     check("Aut(A5) strong-complete", True, audit.aut_strong_complete)
-    check("Z/4 ring complete", True, ring_classify(ring_zn(4)).complete)
-    check("zero ring on Z2 not complete", False, ring_classify(zero_ring(2)).complete)
+    check("Z/4 ring complete", True, _labelled("Z/4", ring_classify, ring_zn(4)).complete)
+    check("zero ring on Z2 not complete", False,
+          _labelled("zero ring on Z2", ring_classify, zero_ring(2)).complete)
     check("2Z/8Z not complete", False,
-          ring_classify(subring(ring_zn(8), [0, 2, 4, 6])).complete)
-    sl = lie_classify(sl2(5))
+          _labelled("2Z/8Z", ring_classify, subring(ring_zn(8), [0, 2, 4, 6])).complete)
+    sl = _labelled("sl2(F5)", lie_classify, sl2(5))
     check("sl2(F5) strong-complete", True, sl.strong_complete)
     check("sl2(F5) derivation dimension", 3, sl.der_dim)
     return checks
@@ -232,7 +233,8 @@ def run_report(argv: Optional[Sequence[str]] = None) -> int:
                      f"(choose from {', '.join(map(repr, MODES))})")
     try:
         catalog = _load_catalog(args.catalog)
-        universe = _load_catalog(args.universe) if args.universe else catalog
+        same = not args.universe or args.universe == args.catalog
+        universe = catalog if same else _load_catalog(args.universe)
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

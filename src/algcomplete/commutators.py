@@ -67,7 +67,7 @@ def is_characteristic(G: FiniteGroup, S: Subgroup, aut_perms) -> bool:
     return all(all(p[s] in eset for s in S.elements) for p in aut_perms)
 
 
-def embedding_retraction(h: GroupHom, budget: Optional[_Budget] = None) -> Optional[GroupHom]:
+def embedding_retraction(h: GroupHom, budget: _Budget) -> Optional[GroupHom]:
     """Some hom r: Y -> X with r.h = id_X for the embedding h: X -> Y, or a verified None.
 
     Reuses the constrained hom search: the images of X's generators are

@@ -6,6 +6,11 @@ from __future__ import annotations
 class AlgebraError(Exception):
     """Base class for every error raised by this package."""
 
+    def prefixed(self, label: str) -> "AlgebraError":
+        """This error with `label: ` before its message; its class and fields are kept."""
+        self.args = (f"{label}: {self}",)
+        return self
+
 
 class TableInvalid(AlgebraError):
     """A Cayley table violates the identity/associativity/inverse laws.

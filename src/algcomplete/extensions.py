@@ -253,7 +253,7 @@ def classify_into_generic(e: SplitExtension) -> tuple[GroupHom, GroupHom]:
     gens = [e.kappa(x) for x in X.generators] + [e.beta(b) for b in B.generators]
     forced = {e.kappa(x): [hol.kappa(x)] for x in range(m)}
     b = _Budget(DEFAULT_SEARCH_BUDGET, "classifier search")
-    for img in iter_hom_images(A, hol.A, gens, forced, b):
+    for img in iter_hom_images(A, hol.A, gens, forced, budget=b):
         up = GroupHom(A, hol.A, img)
         vp = tuple(hol.alpha(up(e.beta(bb))) for bb in range(B.order))
         if all(hol.alpha(up(a)) == vp[e.alpha(a)] for a in range(A.order)) and all(

@@ -544,15 +544,14 @@ class _Budget:
 
     __slots__ = ("left", "phase")
 
-    def __init__(self, n: int, phase: Optional[str] = None):
+    def __init__(self, n: int, phase: str):
         self.left = n
         self.phase = phase
 
     def spend(self):
         self.left -= 1
         if self.left < 0:
-            msg = "hom search node budget exhausted"
-            raise SearchBudgetExceeded(f"{self.phase}: {msg}" if self.phase else msg)
+            raise SearchBudgetExceeded(f"{self.phase}: hom search node budget exhausted")
 
 
 @dataclass(frozen=True, eq=False)
@@ -619,7 +618,8 @@ def iter_hom_images(
     cod,
     gens: Optional[Sequence[int]] = None,
     allowed: Optional[Mapping[int, Sequence[int]]] = None,
-    budget: Optional[_Budget] = None,
+    *,
+    budget: _Budget,
     injective: bool = False,
 ) -> Iterator[tuple[int, ...]]:
     """Yield the full image array of every hom G -> cod determined by its generators.
@@ -633,8 +633,6 @@ def iter_hom_images(
     the group-ops interface.  With `injective=True`, branches producing
     repeated images are pruned.
     """
-    if budget is None:
-        budget = _Budget(DEFAULT_SEARCH_BUDGET)
     n = G.order
     if n == 1:
         yield (0,)
@@ -693,11 +691,12 @@ def find_constrained_hom(
     H,
     gens: Optional[Sequence[int]] = None,
     allowed: Optional[Mapping[int, Sequence[int]]] = None,
-    budget: Optional[_Budget] = None,
+    *,
+    budget: _Budget,
     limit: int = 1,
 ) -> list[tuple[int, ...]]:
     """The first `limit` hom image arrays of `iter_hom_images`."""
-    return list(itertools.islice(iter_hom_images(G, H, gens, allowed, budget), limit))
+    return list(itertools.islice(iter_hom_images(G, H, gens, allowed, budget=budget), limit))
 
 
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:

@@ -11,7 +11,7 @@ import algcomplete
 from algcomplete import automorphisms, commutators, completeness, extensions, groups
 from algcomplete.automorphisms import automorphism_group
 from algcomplete.catalog import alternating, cyclic, dihedral, symmetric
-from algcomplete.commutators import find_retraction, subgroup_verdict
+from algcomplete.commutators import embedding_retraction, find_retraction, subgroup_verdict
 from algcomplete.completeness import decompose_proto_complete, one_step_check
 from algcomplete.errors import SearchBudgetExceeded
 from algcomplete.extensions import (
@@ -20,7 +20,15 @@ from algcomplete.extensions import (
     enumerate_split_extensions,
     iter_actions,
 )
-from algcomplete.groups import Subgroup, enumerate_homs, is_isomorphic
+from algcomplete.groups import (
+    FiniteGroup,
+    Subgroup,
+    _Budget,
+    enumerate_homs,
+    find_constrained_hom,
+    is_isomorphic,
+    iter_hom_images,
+)
 
 # The entry points through which the CLI or the library passes a caller's node budget.
 BUDGETED = {
@@ -68,25 +76,26 @@ def all_actions(B, X):
     return list(iter_actions(B, X))
 
 
-S3, Z2, Z3, V4 = symmetric(3), cyclic(2), cyclic(3), dihedral(2)
-
 # (module whose limit is lowered, search, its arguments, the phase its error names);
-# the arguments are built before the limit is lowered
+# the arguments are built afresh, before the limit is lowered, so that no group
+# brings an automorphism group computed in an earlier case
 SEARCHES = [
-    (automorphisms, automorphism_group, lambda: (S3,), "automorphism search"),
-    (extensions, all_actions, lambda: (Z2, Z3), "action enumeration"),
-    (groups, enumerate_homs, lambda: (Z2, Z2), "hom enumeration"),
-    (groups, is_isomorphic, lambda: (S3, S3), "isomorphism search"),
-    (extensions, enumerate_split_extensions, lambda: (Z3, Z2), "action enumeration"),
+    (automorphisms, automorphism_group, lambda: (symmetric(3),), "automorphism search"),
+    (extensions, all_actions, lambda: (cyclic(2), cyclic(3)), "action enumeration"),
+    (groups, enumerate_homs, lambda: (cyclic(2), cyclic(2)), "hom enumeration"),
+    (groups, is_isomorphic, lambda: (symmetric(3), symmetric(3)), "isomorphism search"),
+    (extensions, enumerate_split_extensions, lambda: (cyclic(3), cyclic(2)),
+     "action enumeration"),
     (extensions, classify_into_generic,
-     lambda: (enumerate_split_extensions(Z3, Z2)[1],), "classifier search"),
-    (extensions, enumerate_normal_embeddings, lambda: (Z2, [V4]), "normal embeddings"),
-    (commutators, find_retraction, lambda: (S3, a3(S3)), "retraction search"),
+     lambda: (enumerate_split_extensions(cyclic(3), cyclic(2))[1],), "classifier search"),
+    (extensions, enumerate_normal_embeddings, lambda: (cyclic(2), [dihedral(2)]),
+     "normal embeddings"),
+    (commutators, find_retraction, lambda: (S3 := symmetric(3), a3(S3)), "retraction search"),
     (commutators, subgroup_verdict,
-     lambda: (S3, a3(S3), automorphism_group(S3).elems), "retraction search"),
-    (completeness, decompose_proto_complete, lambda: (S3,), "section search"),
-    (automorphisms, one_step_check, lambda: (S3,), "automorphism search"),
-    (completeness, one_step_check, lambda: (S3,), "section search"),
+     lambda: (S3 := symmetric(3), a3(S3), automorphism_group(S3).elems), "retraction search"),
+    (completeness, decompose_proto_complete, lambda: (symmetric(3),), "section search"),
+    (automorphisms, one_step_check, lambda: (symmetric(3),), "automorphism search"),
+    (completeness, one_step_check, lambda: (symmetric(3),), "section search"),
 ]
 
 
@@ -95,20 +104,28 @@ SEARCHES = [
     ids=[f"{m.__name__.rsplit('.', 1)[1]}-{s.__name__}" for m, s, _, _ in SEARCHES],
 )
 def test_exhausted_search_names_its_phase(monkeypatch, module, search, make_args, phase):
-    monkeypatch.setattr(automorphisms, "_AUT_CACHE", {})
     args = make_args()
     monkeypatch.setattr(module, "DEFAULT_SEARCH_BUDGET", 0)
     with pytest.raises(SearchBudgetExceeded, match=f"^{phase}: hom search node budget exhausted$"):
         search(*args)
 
 
-def test_automorphism_group_does_not_depend_on_call_order(monkeypatch):
+def test_automorphism_group_does_not_depend_on_call_order():
     A5 = alternating(5)
-    monkeypatch.setattr(automorphisms, "_AUT_CACHE", {})
-    cold = automorphism_group(A5)
-    assert automorphism_group(A5) is cold and len(cold.elems) == 120
-    monkeypatch.setattr(automorphisms, "_AUT_CACHE", {})
-    assert automorphism_group(A5).elems == cold.elems
+    aut = automorphism_group(A5)
+    assert automorphism_group(A5) is aut and len(aut.elems) == 120
+    twin = FiniteGroup(A5.table, A5.name)
+    again = automorphism_group(twin)
+    assert again is not aut and again.elems == aut.elems
+
+
+def test_every_search_takes_a_labelled_budget():
+    """No search runs without a budget object, and no budget object lacks a phase."""
+    for fn in (iter_hom_images, find_constrained_hom, embedding_retraction):
+        assert inspect.signature(fn).parameters["budget"].default is inspect.Parameter.empty
+    assert inspect.signature(_Budget).parameters["phase"].default is inspect.Parameter.empty
+    with pytest.raises(TypeError):
+        find_constrained_hom(cyclic(2), cyclic(2))
 
 
 def test_deleted_options_stay_deleted():

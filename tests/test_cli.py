@@ -1,10 +1,15 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+from algcomplete import cli
+from algcomplete.catalog import resolve_catalog
 from algcomplete.cli import run_report
+from algcomplete.errors import NotASubgroup, SizeCap, TableInvalid
+from conftest import relabel
 
 
 def write_catalog(tmp_path, entries, name="cat.json"):
@@ -112,28 +117,36 @@ def semidirect(action):
     return {"name": "K", "semidirect": {"kernel": "Z3", "actor": "Z3", "action": action}}
 
 
-@pytest.mark.parametrize("entries, message", [
-    ([{"name": "K", "cayley": [[0, 1], [1, 1]]}], "row is not a permutation (witness: (1,))"),
-    ([Z3, semidirect([0, 1, 7])], "action index out of range (witness: (7,))"),
-    ([Z3, semidirect([0, 1, 1])], "action is not a hom"),
-    ([{"name": "K", "cayley": [[0, 1], [1, 0.9]]}],
-     "entry is not an integer (witness: (1, 1, 0.9))"),
-    ([{"name": "K", "cayley": [[0, True], [True, 0]]}],
-     "entry is not an integer (witness: (0, 1, True))"),
-    ([{"name": "K", "permutations": {"degree": 3, "generators": [[0, 1, 2.5]]}}],
-     "entry is not an integer (witness: (2, 2.5))"),
-    ([Z3, {"name": "Q", "quotient": {"parent": "Z3", "subgroup": [0, 99]}}],
-     "element 99 out of range for order 3"),
-    ([{"name": "K", "cyclic": 513}], "Z513 has more than 512 elements"),
-    ([{"name": "K", "symmetric": 6}], "S6 has more than 512 elements"),
+@pytest.mark.parametrize("entries, error, message", [
+    ([{"name": "K", "cayley": [[0, 1], [1, 1]]}], TableInvalid,
+     "catalog entry 'K': row is not a permutation (witness: (1,))"),
+    ([Z3, semidirect([0, 1, 7])], TableInvalid,
+     "catalog entry 'K': action index out of range (witness: (7,))"),
+    ([Z3, semidirect([0, 1, 1])], TableInvalid,
+     "catalog entry 'K': action is not a hom (witness: (1,))"),
+    ([{"name": "K", "cayley": [[0, 1], [1, 0.9]]}], TableInvalid,
+     "catalog entry 'K': entry is not an integer (witness: (1, 1, 0.9))"),
+    ([{"name": "K", "cayley": [[0, True], [True, 0]]}], TableInvalid,
+     "catalog entry 'K': entry is not an integer (witness: (0, 1, True))"),
+    ([{"name": "K", "permutations": {"degree": 3, "generators": [[0, 1, 2.5]]}}], TableInvalid,
+     "catalog entry 'K': entry is not an integer (witness: (2, 2.5))"),
+    ([Z3, {"name": "Q", "quotient": {"parent": "Z3", "subgroup": [0, 99]}}], NotASubgroup,
+     "catalog entry 'Q': element 99 out of range for order 3"),
+    ([Z3, {"name": "Q", "quotient": {"parent": "Z3", "subgroup": [0, 1]}}], NotASubgroup,
+     "catalog entry 'Q': not closed under inversion at 1"),
+    ([{"name": "K", "cyclic": 513}], SizeCap, "catalog entry 'K': Z513 has more than 512 elements"),
+    ([{"name": "K", "symmetric": 6}], SizeCap, "catalog entry 'K': S6 has more than 512 elements"),
 ], ids=["cayley", "action-range", "action-hom", "cayley-float", "cayley-bool", "permutation-float",
-        "quotient-index", "cyclic-over-cap", "symmetric-over-cap"])
+        "quotient-index", "quotient-not-subgroup", "cyclic-over-cap", "symmetric-over-cap"])
 @pytest.mark.parametrize("flag", ["--catalog", "--universe"])
-def test_invalid_catalog_is_config_error(tmp_path, capsys, entries, message, flag):
+def test_invalid_catalog_is_config_error(tmp_path, capsys, entries, error, message, flag):
     path = write_catalog(tmp_path, entries)
     assert run_report([flag, path, "--mode", "classify"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert err == f"error: {message}\n"
+    with pytest.raises(error) as exc:
+        resolve_catalog(entries)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("recipe, detail", [
@@ -166,7 +179,30 @@ def test_invalid_action_is_rejected_under_python_O(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: action is not a hom") and proc.stdout == ""
+    assert proc.stderr.startswith("error: catalog entry 'K': action is not a hom")
+    assert proc.stdout == ""
+
+
+def report_rows(tmp_path, catalog, *flags):
+    """The exit code and the rows of a report on `catalog`."""
+    out = tmp_path / "r.json"
+    rc = run_report(["--catalog", catalog, *flags, "--out", str(out)])
+    return rc, json.loads(out.read_text())["objects"]
+
+
+def test_relabelled_catalog_gives_the_same_reports(tmp_path, catalog):
+    """Every builtin group on shuffled labels: the same rows, up to the section's labels."""
+    rnd = random.Random(7)
+    entries = [{"name": G.name, "cayley": relabel(G, rnd).table} for G in catalog]
+    relabelled = write_catalog(tmp_path, entries, "relabelled.json")
+    for mode, flags in (("classify", []), ("oracle-crosscheck", ["--bound", "7"])):
+        rc, expected = report_rows(tmp_path, "builtin", "--mode", mode, *flags)
+        rc_relabelled, actual = report_rows(tmp_path, relabelled, "--mode", mode, *flags)
+        assert rc_relabelled == rc and len(actual) == len(catalog)
+        if mode == "classify":
+            for row in expected + actual:
+                del row["proto_section"]
+        assert actual == expected
 
 
 def z4_over_z130(tmp_path):
@@ -243,6 +279,51 @@ def test_budget_exhaustion_names_group_and_phase(tmp_path, capsys, group, phase,
     assert rc == 2
     err = capsys.readouterr().err
     assert err == f"error: {group['name']}: {phase}: hom search node budget exhausted\n"
+
+
+def test_universe_naming_the_catalog_reuses_it(tmp_path, monkeypatch):
+    built = []
+
+    def counting(source):
+        built.append(source)
+        return load_catalog(source)
+
+    load_catalog = cli._load_catalog
+    monkeypatch.setattr(cli, "_load_catalog", counting)
+    path = write_catalog(tmp_path, [{"name": "Z2", "cyclic": 2}])
+    for source in ("builtin", path):
+        built.clear()
+        rc = run_report(["--catalog", source, "--universe", source, "--mode", "classify",
+                         "--out", str(tmp_path / "r.json")])
+        assert rc == 0 and built == [source]
+
+
+def test_any_algebra_error_names_the_group(tmp_path, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise TableInvalid("broken", (0,))
+
+    monkeypatch.setattr(cli, "classify_completeness", failing)
+    path = write_catalog(tmp_path, [{"name": "Z2", "cyclic": 2}])
+    assert run_report(["--catalog", path, "--mode", "classify"]) == 2
+    assert capsys.readouterr().err == "error: Z2: broken (witness: (0,))\n"
+
+
+def test_paper_examples_error_names_the_object(capsys):
+    assert run_report(["--mode", "paper-examples", "--budget", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: Z2: normal embeddings: hom search node budget exhausted\n")
+
+
+@pytest.mark.parametrize("step, label", [
+    ("char_simple_audit", "A5"), ("ring_classify", "Z/4"), ("lie_classify", "sl2(F5)"),
+])
+def test_paper_examples_names_the_object_of_any_algebra_error(monkeypatch, capsys, step, label):
+    def failing(*args, **kwargs):
+        raise TableInvalid("broken", (0,))
+
+    monkeypatch.setattr(cli, step, failing)
+    assert run_report(["--mode", "paper-examples"]) == 2
+    assert capsys.readouterr().err == f"error: {label}: broken (witness: (0,))\n"
 
 
 @pytest.mark.parametrize("module", ["algcomplete", "algcomplete.cli"])

@@ -118,7 +118,7 @@ def per_mode_oracle(G, mode, bound, universe):
 
     Returns (flag, witness, middle table or None).
     """
-    b = _Budget(DEFAULT_SEARCH_BUDGET)
+    b = _Budget(DEFAULT_SEARCH_BUDGET, "reference oracle")
     for B in universe:
         if B.order > bound:
             continue
@@ -140,7 +140,7 @@ def table_oracles(G, bound, universe):
     the proto and strong (flag, witness, middle table or None) and the
     number of search nodes spent.
     """
-    b = _Budget(DEFAULT_SEARCH_BUDGET)
+    b = _Budget(DEFAULT_SEARCH_BUDGET, "reference oracle")
     strong = None
     for B in universe:
         if B.order > bound:

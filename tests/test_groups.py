@@ -13,9 +13,11 @@ from algcomplete.errors import (
     TableInvalid,
 )
 from algcomplete.groups import (
+    DEFAULT_SEARCH_BUDGET,
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _Budget,
     all_subgroups,
     direct_product,
     enumerate_homs,
@@ -487,6 +489,10 @@ def _constrained_cases():
     ]
 
 
+def search_budget():
+    return _Budget(DEFAULT_SEARCH_BUDGET, "test search")
+
+
 @pytest.mark.parametrize(
     "G, H, gens, allowed", _constrained_cases(),
     ids=["S3-S3", "Z6-S3", "S3-Z4", "V4-S3-restricted", "retraction", "fibres",
@@ -499,7 +505,7 @@ def test_constrained_search_matches_brute_force(G, H, gens, allowed):
         img for img in brute_force_homs(G, H, gens)
         if all(img[g] in pool for g, pool in zip(gens, pools))
     }
-    found = find_constrained_hom(G, H, gens, allowed, limit=10**9)
+    found = find_constrained_hom(G, H, gens, allowed, budget=search_budget(), limit=10**9)
     assert len(found) == len(expected) and set(found) == expected
     if expected:
         # least generator image tuple, each image ranked by its place in the pool
@@ -512,7 +518,7 @@ def test_constrained_search_matches_brute_force(G, H, gens, allowed):
 def test_trivial_domain_has_one_hom(Z3):
     trivial = cyclic(1)
     assert [h.image for h in enumerate_homs(trivial, Z3)] == [(0,)]
-    assert find_constrained_hom(trivial, Z3, limit=5) == [(0,)]
+    assert find_constrained_hom(trivial, Z3, budget=search_budget(), limit=5) == [(0,)]
 
 
 def reference_group_from_permutations(degree, generators, cap=512):
