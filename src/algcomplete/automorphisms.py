@@ -135,7 +135,8 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
     if aut is None:
         b = _Budget(DEFAULT_SEARCH_BUDGET, "automorphism search")
         perms = sorted(iter_hom_images(G, G, budget=b, injective=True))
-        assert perms[0] == tuple(range(G.order))
+        if perms[0] != tuple(range(G.order)):
+            raise TableInvalid("automorphism search did not return the identity first")
         aut = G.__dict__["automorphism_group"] = AutomorphismGroup(G, tuple(perms))
     return aut
 

@@ -156,14 +156,32 @@ def _labelled(label: str, fn, *args, **kwargs):
         raise exc.prefixed(label) from None
 
 
+# A pool worker's (catalog, extra): handed over once per worker by
+# `_init_worker`, so a universe is unpickled once per worker, and a catalog
+# that is its own universe stays one set of objects there, as at --jobs 1.
+_WORKER_INPUT: tuple = ()
+
+
+def _init_worker(catalog, extra) -> None:
+    global _WORKER_INPUT
+    _WORKER_INPUT = (catalog, extra)
+
+
+def _pooled(job, i: int, budget) -> dict:
+    catalog, extra = _WORKER_INPUT
+    return job((catalog[i], extra, budget))
+
+
 def _run_groups(job, catalog, extra, budget, jobs: int) -> list[dict]:
     """job((G, extra, budget)) for each G of the catalog; an error names its group."""
     labels = [G.name or f"group-of-order-{G.order}" for G in catalog]
-    calls = (labels, [job] * len(catalog), [(G, extra, budget) for G in catalog])
-    if jobs > 1 and len(catalog) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_labelled, *calls))
-    return list(map(_labelled, *calls))
+    n = len(catalog)
+    if jobs > 1 and n > 1:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(catalog, extra)) as pool:
+            return list(pool.map(_labelled, labels, [_pooled] * n, [job] * n, range(n),
+                                 [budget] * n))
+    return [_labelled(label, job, (G, extra, budget)) for label, G in zip(labels, catalog)]
 
 
 def _paper_examples(budget) -> list[dict]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CodomainMismatch, NotASubgroup
+from .errors import CodomainMismatch, NotASubgroup, TableInvalid
 from .groups import (
     DEFAULT_SEARCH_BUDGET,
     FiniteGroup,
@@ -81,7 +81,8 @@ def embedding_retraction(h: GroupHom, budget: _Budget) -> Optional[GroupHom]:
         return None
     img = found[0]
     # the search fixes h(gens of X); that forces r.h = id
-    assert all(img[h(x)] == x for x in range(X.order))
+    if any(img[h(x)] != x for x in range(X.order)):
+        raise TableInvalid("retraction search returned a map r with r.h != id")
     return GroupHom(Y, X, img)
 
 

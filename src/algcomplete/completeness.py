@@ -17,6 +17,7 @@ from .errors import (
     CenterNonTrivial,
     NotCharacteristicallySimple,
     NotProtoComplete,
+    TableInvalid,
 )
 from .groups import (
     DEFAULT_ELEMENT_CAP,
@@ -100,9 +101,9 @@ def classify_completeness(
         b = _Budget(budget if budget is not None else DEFAULT_SEARCH_BUDGET, "section search")
         found = find_constrained_hom(carrier, G, allowed=fibers, budget=b)
         if found:
-            img = found[0]
-            assert all(cidx[img[a]] == a for a in range(carrier.order))
             section = found[0]
+            if any(cidx[section[a]] != a for a in range(carrier.order)):
+                raise TableInvalid("section search returned a map that is not a section of c")
     proto = section is not None
     strong = z.order == 1 and out_order == 1
     if strong:

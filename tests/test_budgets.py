@@ -106,7 +106,7 @@ SEARCHES = [
 def test_exhausted_search_names_its_phase(monkeypatch, module, search, make_args, phase):
     args = make_args()
     monkeypatch.setattr(module, "DEFAULT_SEARCH_BUDGET", 0)
-    with pytest.raises(SearchBudgetExceeded, match=f"^{phase}: hom search node budget exhausted$"):
+    with pytest.raises(SearchBudgetExceeded, match=f"^{phase}: hom search node budget exhausted after 0 nodes$"):
         search(*args)
 
 

@@ -80,14 +80,51 @@ def test_reports_byte_identical_across_runs_and_jobs(tmp_path):
         {"name": "S3", "symmetric": 3},
         {"name": "Z6", "cyclic": 6},
     ])
-    outs = []
-    for jobs in ("1", "1", "3"):
-        out = tmp_path / f"r{len(outs)}.json"
-        rc = run_report(["--catalog", path, "--mode", "classify",
-                         "--jobs", jobs, "--out", str(out)])
-        assert rc == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    for mode in ("classify", "audit"):
+        outs = []
+        for jobs in ("1", "1", "3"):
+            out = tmp_path / f"r{len(outs)}.json"
+            rc = run_report(["--catalog", path, "--mode", mode,
+                             "--jobs", jobs, "--out", str(out)])
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
+
+class InlinePool:
+    """A ProcessPoolExecutor stand-in that runs its one worker in this process."""
+
+    made = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.initargs = initargs
+        self.tasks = []
+        InlinePool.made.append(self)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *columns):
+        self.tasks = list(zip(*columns))
+        return [fn(*task) for task in self.tasks]
+
+
+def test_pool_workers_receive_catalog_and_universe_once(tmp_path, monkeypatch):
+    path = write_catalog(tmp_path, [{"name": "Z2", "cyclic": 2}, {"name": "S3", "symmetric": 3}])
+    expected = report_rows(tmp_path, path, "--mode", "audit", "--bound", "3")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "_WORKER_INPUT", ())  # restored after the inline worker sets it
+    InlinePool.made.clear()
+    assert report_rows(tmp_path, path, "--mode", "audit", "--bound", "3", "--jobs", "2") == expected
+    (pool,) = InlinePool.made
+    catalog, (bound, universe) = pool.initargs
+    assert bound == 3 and universe is catalog and [G.name for G in catalog] == ["Z2", "S3"]
+    # a task names its group by index; no group travels with it
+    assert [task[3:] for task in pool.tasks] == [(0, None), (1, None)]
 
 
 def test_env_mirrors(tmp_path, monkeypatch):
@@ -278,7 +315,7 @@ def test_budget_exhaustion_names_group_and_phase(tmp_path, capsys, group, phase,
     rc = run_report(["--catalog", path, "--mode", "audit", "--budget", "1", "--jobs", jobs])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == f"error: {group['name']}: {phase}: hom search node budget exhausted\n"
+    assert err == f"error: {group['name']}: {phase}: hom search node budget exhausted after 1 node\n"
 
 
 def test_universe_naming_the_catalog_reuses_it(tmp_path, monkeypatch):
@@ -311,7 +348,7 @@ def test_any_algebra_error_names_the_group(tmp_path, monkeypatch, capsys):
 def test_paper_examples_error_names_the_object(capsys):
     assert run_report(["--mode", "paper-examples", "--budget", "1"]) == 2
     assert capsys.readouterr().err == (
-        "error: Z2: normal embeddings: hom search node budget exhausted\n")
+        "error: Z2: normal embeddings: hom search node budget exhausted after 1 node\n")
 
 
 @pytest.mark.parametrize("step, label", [
