@@ -1,4 +1,4 @@
-"""Automorphism groups, conjugation morphisms, Out, and relative classifiers."""
+"""Automorphism groups, conjugation, Out, characteristic subgroups and relative classifiers."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .groups import (
     iter_hom_images,
     quotient,
 )
-from .commutators import centralizer
+from .commutators import centralizer, find_retraction
 
 
 def _perm_order(p) -> int:
@@ -59,20 +59,17 @@ class AutomorphismGroup:
         return len(self.elems)
 
     @cached_property
-    def _fingerprint_gens(self) -> tuple[int, ...]:
-        return self.base.generators
-
-    @cached_property
     def _index(self) -> dict:
-        gens = self._fingerprint_gens
+        """Each element's index by its fingerprint, its images of the base's generators."""
+        gens = self.base.generators
         return {tuple(p[g] for g in gens): i for i, p in enumerate(self.elems)}
 
     def index_of_perm(self, p) -> int:
-        return self._index[tuple(p[g] for g in self._fingerprint_gens)]
+        return self._index[tuple(p[g] for g in self.base.generators)]
 
     def mul(self, i: int, j: int) -> int:
         pi, pj = self.elems[i], self.elems[j]
-        return self._index[tuple(pi[pj[g]] for g in self._fingerprint_gens)]
+        return self._index[tuple(pi[pj[g]] for g in self.base.generators)]
 
     def inv(self, i: int) -> int:
         p = self.elems[i]
@@ -104,7 +101,7 @@ class AutomorphismGroup:
             raise SizeCap(f"automorphism group order {n} exceeds cap {DEFAULT_ELEMENT_CAP}")
         size = self.base.order
         perms = np.array(self.elems, dtype=np.intp)
-        fingerprints = perms[:, list(self._fingerprint_gens)]
+        fingerprints = perms[:, list(self.base.generators)]
         composed = perms[:, fingerprints]  # composed[i, j] = f_i(fingerprint of f_j)
         known = np.zeros(n, dtype=np.intp)  # label of each element's prefix
         labels = np.zeros((n, n), dtype=np.intp)  # label of each product's prefix
@@ -141,62 +138,87 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
     return aut
 
 
-def conjugation_morphism(G: FiniteGroup, aut: Optional[AutomorphismGroup] = None) -> GroupHom:
+def conjugation_morphism(G: FiniteGroup) -> GroupHom:
     """c_G: G -> Aut(G) carrier, g -> (x -> g x g^-1); kernel is the center."""
-    if aut is None:
-        aut = automorphism_group(G)
-    return GroupHom(G, aut.carrier, conjugation_indices(G, aut))
+    return GroupHom(G, automorphism_group(G).carrier, conjugation_indices(G))
 
 
-def conjugation_indices(G: FiniteGroup, aut: AutomorphismGroup) -> tuple[int, ...]:
-    """Images of c_G as indices into aut.elems, without touching the carrier.
+def conjugation_indices(G: FiniteGroup) -> tuple[int, ...]:
+    """Images of c_G as indices into automorphism_group(G).elems, without touching the carrier.
 
     Only the fingerprint of each inner automorphism is computed: for each g,
-    g x g^-1 for the fingerprint generators x, one dict lookup per g.
+    g x g^-1 for the generators x of G, one dict lookup per g.
     """
+    index = automorphism_group(G)._index
     t = G.table
-    gens = aut._fingerprint_gens
-    index = aut._index
+    gens = G.generators
     return tuple(
         index[tuple(t[row[x]][ig] for x in gens)] for row, ig in zip(t, G.inverses)
     )
 
 
-def inner_subgroup(G: FiniteGroup, aut: Optional[AutomorphismGroup] = None) -> Subgroup:
+def inner_subgroup(G: FiniteGroup) -> Subgroup:
     """Inn(G) = im(c_G), as a subgroup of the automorphism carrier."""
-    if aut is None:
-        aut = automorphism_group(G)
-    idx = sorted(set(conjugation_indices(G, aut)))
-    return Subgroup(aut.carrier, tuple(idx))
+    return Subgroup(automorphism_group(G).carrier, tuple(sorted(set(conjugation_indices(G)))))
 
 
-def outer_quotient(G: FiniteGroup, aut: Optional[AutomorphismGroup] = None):
+def outer_quotient(G: FiniteGroup):
     """Out(G) = Aut(G)/Inn(G) with the projection from the carrier."""
-    if aut is None:
-        aut = automorphism_group(G)
-    inn = inner_subgroup(G, aut)
-    Q, proj = quotient(aut.carrier, inn)
+    Q, proj = quotient(inner_subgroup(G))
     if G.name:
         Q = FiniteGroup(Q.table, f"Out({G.name})")
-        proj = GroupHom(aut.carrier, Q, proj.image)
+        proj = GroupHom(proj.domain, Q, proj.image)
     return Q, proj
+
+
+def is_characteristic(S: Subgroup) -> bool:
+    """alpha(S) = S for every automorphism alpha of S's parent."""
+    eset = S._element_set
+    return all(all(p[s] in eset for s in S.elements)
+               for p in automorphism_group(S.parent).elems)
+
+
+@dataclass(frozen=True)
+class SubgroupVerdict:
+    is_normal: bool
+    is_characteristic: bool
+    split_retraction: Optional[GroupHom]
+
+
+def subgroup_verdict(S: Subgroup) -> SubgroupVerdict:
+    """Normality, characteristicity and split-retraction verdicts for S in its parent."""
+    normal = S.is_normal()
+    char = is_characteristic(S)
+    retr = find_retraction(S)
+    if char and not normal:
+        raise AssertionError("characteristic subgroup must be normal")
+    return SubgroupVerdict(normal, char, retr)
 
 
 @dataclass(frozen=True)
 class RelativeClassifier:
-    """Pairs (theta, phi) in Aut(S) x Aut(X) agreeing along the inclusion m."""
+    """Pairs (theta, phi) in Aut(S) x Aut(X) agreeing along the inclusion m: S -> X."""
 
-    S: FiniteGroup
-    X: FiniteGroup
     m: GroupHom
-    carrier: FiniteGroup
     pairs: tuple[tuple[int, int], ...]
     q1: GroupHom
     q2: GroupHom
 
+    @property
+    def S(self) -> FiniteGroup:
+        return self.m.domain
 
-def relative_classifier(G: FiniteGroup, S: Subgroup) -> RelativeClassifier:
-    """The classifier of the normal inclusion S <= G with its two projections.
+    @property
+    def X(self) -> FiniteGroup:
+        return self.m.codomain
+
+    @property
+    def carrier(self) -> FiniteGroup:
+        return self.q1.domain
+
+
+def relative_classifier(S: Subgroup) -> RelativeClassifier:
+    """The classifier of the normal inclusion of S in its parent G, with its two projections.
 
     The carrier consists of the pairs (theta, phi) with phi restricting to
     theta on S; q2 is injective by construction, and q1 is asserted
@@ -204,6 +226,7 @@ def relative_classifier(G: FiniteGroup, S: Subgroup) -> RelativeClassifier:
     """
     if not S.is_normal():
         raise NotNormal("relative classifier requires a normal subgroup")
+    G = S.parent
     Sg, incl = S.as_group()
     autS = automorphism_group(Sg)
     autX = automorphism_group(G)
@@ -218,7 +241,6 @@ def relative_classifier(G: FiniteGroup, S: Subgroup) -> RelativeClassifier:
         pairs.append((i, j))
     pairs.sort()
     index = {pr: k for k, pr in enumerate(pairs)}
-    n = len(pairs)
     table = tuple(
         tuple(index[(autS.mul(a1, b1), autX.mul(a2, b2))] for (b1, b2) in pairs)
         for (a1, a2) in pairs
@@ -227,6 +249,6 @@ def relative_classifier(G: FiniteGroup, S: Subgroup) -> RelativeClassifier:
     q1 = GroupHom(carrier, autS.carrier, tuple(p[0] for p in pairs))
     q2 = GroupHom(carrier, autX.carrier, tuple(p[1] for p in pairs))
     assert q2.is_injective
-    if centralizer(G, S).order == 1 and not q1.is_injective:
+    if centralizer(S).order == 1 and not q1.is_injective:
         raise AssertionError("q1 must be injective when the centralizer of S is trivial")
-    return RelativeClassifier(Sg, G, incl, carrier, tuple(pairs), q1, q2)
+    return RelativeClassifier(incl, tuple(pairs), q1, q2)

@@ -215,14 +215,12 @@ def _resolve_entry(entry: dict, named: dict) -> FiniteGroup:
         spec = entry["semidirect"]
         X = _lookup(named, spec["kernel"])
         B = _lookup(named, spec["actor"])
-        aut = automorphism_group(X)
-        a = GroupAction.create(B, X, aut, tuple(spec["action"]))
+        a = GroupAction.create(B, automorphism_group(X), tuple(spec["action"]))
         return semidirect_product(a).A
     if "quotient" in entry:
         spec = entry["quotient"]
-        parent = _lookup(named, spec["parent"])
-        N = Subgroup.create(parent, spec["subgroup"])
-        return quotient(parent, N)[0]
+        N = Subgroup.create(_lookup(named, spec["parent"]), spec["subgroup"])
+        return quotient(N)[0]
     raise ConfigInvalid("no recognized recipe")
 
 

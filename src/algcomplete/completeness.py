@@ -31,11 +31,12 @@ from .groups import (
     normal_subgroups,
     quotient,
 )
-from .commutators import center, embedding_retraction, is_characteristic
+from .commutators import center, embedding_retraction
 from .automorphisms import (
     automorphism_group,
     conjugation_indices,
     inner_subgroup,
+    is_characteristic,
 )
 from .extensions import (
     GroupAction,
@@ -94,7 +95,7 @@ def classify_completeness(
     if out_order == 1:
         # |Aut| = |Inn| <= |G|, so the carrier is always affordable here
         carrier = aut.carrier
-        cidx = conjugation_indices(G, aut)
+        cidx = conjugation_indices(G)
         fibers = {}
         for g, a in enumerate(cidx):
             fibers.setdefault(a, []).append(g)
@@ -235,8 +236,8 @@ def decompose_proto_complete(G: FiniteGroup) -> tuple[Subgroup, FiniteGroup, Gro
     if not rep.proto_complete:
         raise NotProtoComplete(rep.name)
     Z = center(G)
-    Q, proj = quotient(G, Z)
-    cidx = conjugation_indices(G, automorphism_group(G))
+    Q, proj = quotient(Z)
+    cidx = conjugation_indices(G)
     s_img = [0] * Q.order
     for g in range(G.order):
         s_img[proj(g)] = rep.proto_section[cidx[g]]
@@ -262,34 +263,27 @@ def one_step_check(G: FiniteGroup) -> tuple[bool, bool]:
     """(c injective and Inn characteristic in Aut(G)) vs
     (trivial center and Aut(G) strong-complete); their equality is a theorem
     checked by the test suite, not here."""
-    aut = automorphism_group(G)
     z = center(G)
-    carrier = aut.carrier
-    inn = inner_subgroup(G, aut)
-    aut2 = automorphism_group(carrier)
-    lhs = z.order == 1 and is_characteristic(carrier, inn, aut2.elems)
-    rhs = z.order == 1 and classify_completeness(carrier).strong_complete
+    inn = inner_subgroup(G)
+    lhs = z.order == 1 and is_characteristic(inn)
+    rhs = z.order == 1 and classify_completeness(inn.parent).strong_complete
     return lhs, rhs
 
 
-def centerless_char_criterion(
-    G: FiniteGroup, S: Subgroup
-) -> tuple[bool, bool]:
-    """For centerless G: S characteristic vs c(S) normal in Aut(G).
+def centerless_char_criterion(S: Subgroup) -> tuple[bool, bool]:
+    """For S in a centerless parent G: S characteristic vs c(S) normal in Aut(G).
 
     Returns (direct, criterion); the theorem asserts they agree, and the
     test suite checks that over whole subgroup lattices.
     """
+    G = S.parent
     if center(G).order != 1:
         raise CenterNonTrivial("criterion applies to centerless groups only")
-    aut = automorphism_group(G)
-    direct = is_characteristic(G, S, aut.elems)
-    cidx = conjugation_indices(G, aut)
-    restricted = [cidx[s] for s in S.elements]
-    injective = len(set(restricted)) == S.order
-    image = Subgroup(aut.carrier, tuple(sorted(set(restricted))))
-    criterion = injective and image.is_normal()
-    return direct, criterion
+    direct = is_characteristic(S)
+    cidx = conjugation_indices(G)
+    # c is injective on a centerless G, so c(S) has |S| elements
+    image = Subgroup(automorphism_group(G).carrier, tuple(sorted({cidx[s] for s in S.elements})))
+    return direct, image.is_normal()
 
 
 @dataclass(frozen=True)
@@ -343,8 +337,7 @@ def implication_audit(
         violations.append("strong oracle disagrees with the c-isomorphism criterion")
     normal_char = None
     if rep.proto_complete:
-        aut = automorphism_group(G)
-        normal_char = all(is_characteristic(G, S, aut.elems) for S in normal_subgroups(G))
+        normal_char = all(is_characteristic(S) for S in normal_subgroups(G))
         if not normal_char:
             violations.append("proto-complete group with a non-characteristic normal subgroup")
     return ImplicationAudit(rep, op, os_, oc, normal_char, tuple(violations))
@@ -370,7 +363,7 @@ def char_simple_audit(G: FiniteGroup, budget: Optional[int] = None) -> CharSimpl
     for S in normal_subgroups(G):
         if S.order in (1, G.order):
             continue
-        if is_characteristic(G, S, aut.elems):
+        if is_characteristic(S):
             raise NotCharacteristicallySimple(S.elements)
     carrier = aut.carrier
     rep = classify_completeness(carrier, budget=budget)

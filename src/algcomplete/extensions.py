@@ -15,6 +15,7 @@ from .groups import (
     GroupHom,
     HomDomain,
     _Budget,
+    direct_product,
     iter_hom_images,
 )
 from .automorphisms import AutomorphismGroup, automorphism_group, conjugation_indices
@@ -25,19 +26,22 @@ class GroupAction:
     """A homomorphism B -> Aut(X), stored as indices into the automorphism list.
 
     Storing indices instead of a GroupHom into the Aut carrier keeps actions
-    usable when the carrier table would blow the element cap.
+    usable when the carrier table would blow the element cap.  X is aut.base.
     """
 
     B: FiniteGroup
-    X: FiniteGroup
     aut: AutomorphismGroup
     indices: tuple[int, ...]
 
     @staticmethod
-    def create(B: FiniteGroup, X: FiniteGroup, aut: AutomorphismGroup, indices) -> "GroupAction":
-        a = GroupAction(B, X, aut, tuple(indices))
+    def create(B: FiniteGroup, aut: AutomorphismGroup, indices) -> "GroupAction":
+        a = GroupAction(B, aut, tuple(indices))
         a.check()
         return a
+
+    @property
+    def X(self) -> FiniteGroup:
+        return self.aut.base
 
     def check(self) -> np.ndarray:
         """Check that b -> a(b) is a homomorphism on the generators of B; raise TableInvalid.
@@ -70,7 +74,7 @@ class GroupAction:
 
 
 def trivial_action(B: FiniteGroup, X: FiniteGroup) -> GroupAction:
-    return GroupAction(B, X, automorphism_group(X), (0,) * B.order)
+    return GroupAction(B, automorphism_group(X), (0,) * B.order)
 
 
 def iter_actions(B: FiniteGroup, X: FiniteGroup) -> Iterator[GroupAction]:
@@ -78,7 +82,7 @@ def iter_actions(B: FiniteGroup, X: FiniteGroup) -> Iterator[GroupAction]:
     aut = automorphism_group(X)
     b = _Budget(DEFAULT_SEARCH_BUDGET, "action enumeration")
     for img in iter_hom_images(B, aut, budget=b):
-        yield GroupAction(B, X, aut, img)
+        yield GroupAction(B, aut, img)
 
 
 @dataclass(frozen=True)
@@ -86,16 +90,26 @@ class SplitExtension:
     """X --kappa--> A --alpha--> B with a section beta of alpha.
 
     Invariants (checked in `create`, which raises TableInvalid): alpha.beta =
-    id_B, kappa injective, im(kappa) = ker(alpha) and is normal in A.
+    id_B, kappa injective, im(kappa) = ker(alpha) and is normal in A.  X, A
+    and B are read off kappa and alpha.
     """
 
-    X: FiniteGroup
-    A: FiniteGroup
-    B: FiniteGroup
     kappa: GroupHom
     alpha: GroupHom
     beta: GroupHom
     action: Optional[GroupAction] = None
+
+    @property
+    def X(self) -> FiniteGroup:
+        return self.kappa.domain
+
+    @property
+    def A(self) -> FiniteGroup:
+        return self.kappa.codomain
+
+    @property
+    def B(self) -> FiniteGroup:
+        return self.alpha.codomain
 
     @staticmethod
     def create(kappa: GroupHom, alpha: GroupHom, beta: GroupHom, action=None) -> "SplitExtension":
@@ -111,7 +125,7 @@ class SplitExtension:
             raise TableInvalid("im(kappa) != ker(alpha)")
         if not ker.is_normal():
             raise TableInvalid("im(kappa) is not normal")
-        return SplitExtension(X, A, B, kappa, alpha, beta, action)
+        return SplitExtension(kappa, alpha, beta, action)
 
 
 def semidirect_product(a: GroupAction, name: Optional[str] = None) -> SplitExtension:
@@ -198,11 +212,11 @@ def holonomy(G: FiniteGroup) -> SplitExtension:
     if aut.order > DEFAULT_ELEMENT_CAP:
         raise SizeCap(f"holonomy base Aut of order {aut.order} exceeds carrier cap")
     carrier = aut.carrier
-    a = GroupAction(carrier, G, aut, tuple(range(aut.order)))
+    a = GroupAction(carrier, aut, tuple(range(aut.order)))
     name = f"Hol({G.name})" if G.name else None
     e = semidirect_product(a, name=name)
     m = G.order
-    cidx = conjugation_indices(G, aut)
+    cidx = conjugation_indices(G)
     p2 = GroupHom.create(
         e.A, carrier, tuple(aut.mul(i // m, cidx[i % m]) for i in range(e.A.order))
     )
@@ -221,7 +235,7 @@ def induced_action(e: SplitExtension) -> GroupAction:
         g = e.beta(b)
         perm = tuple(local[A.conj(g, e.kappa(x))] for x in range(X.order))
         idx.append(aut.index_of_perm(perm))
-    return GroupAction.create(B, X, aut, idx)
+    return GroupAction.create(B, aut, idx)
 
 
 def classify_into_generic(e: SplitExtension) -> tuple[GroupHom, GroupHom]:
@@ -234,9 +248,8 @@ def classify_into_generic(e: SplitExtension) -> tuple[GroupHom, GroupHom]:
     """
     X, A, B = e.X, e.A, e.B
     act = induced_action(e)
-    aut = act.aut
     hol = holonomy(X)
-    v = GroupHom.create(B, aut.carrier, act.indices)
+    v = GroupHom.create(B, act.aut.carrier, act.indices)
     m = X.order
     local = {e.kappa(x): x for x in range(m)}
     u_img = []
@@ -253,7 +266,7 @@ def classify_into_generic(e: SplitExtension) -> tuple[GroupHom, GroupHom]:
     gens = [e.kappa(x) for x in X.generators] + [e.beta(b) for b in B.generators]
     forced = {e.kappa(x): [hol.kappa(x)] for x in range(m)}
     b = _Budget(DEFAULT_SEARCH_BUDGET, "classifier search")
-    for img in iter_hom_images(A, hol.A, gens, forced, budget=b):
+    for img in iter_hom_images(A.hom_domain(gens), hol.A, forced, budget=b):
         up = GroupHom(A, hol.A, img)
         vp = tuple(hol.alpha(up(e.beta(bb))) for bb in range(B.order))
         if all(hol.alpha(up(a)) == vp[e.alpha(a)] for a in range(A.order)) and all(
@@ -323,8 +336,6 @@ def product_form_isomorphism(e: SplitExtension, retraction: GroupHom) -> GroupHo
     When the kernel is proto-complete this exhibits the extension as the
     product extension.
     """
-    from .groups import direct_product
-
     P, _, _ = direct_product(e.B, e.X)
     m = e.X.order
     img = tuple(e.alpha(a) * m + retraction(a) for a in range(e.A.order))

@@ -491,7 +491,12 @@ class GroupHom:
     @staticmethod
     def create(domain: FiniteGroup, codomain: FiniteGroup, image: Sequence[int]) -> "GroupHom":
         img = tuple(int(v) for v in image)
-        if len(img) != domain.order or img[0] != 0:
+        if len(img) != domain.order:
+            raise TableInvalid("image must have one entry per element of the domain", (len(img),))
+        for i, v in enumerate(img):
+            if not 0 <= v < codomain.order:
+                raise TableInvalid("image entry out of range", (i, v))
+        if img[0] != 0:
             raise TableInvalid("homomorphism must send identity to identity")
         for i in range(domain.order):
             for j in range(domain.order):
@@ -750,7 +755,6 @@ class _LevelBatch:
 def iter_hom_images(
     G: "FiniteGroup | HomDomain",
     cod,
-    gens: Optional[Sequence[int]] = None,
     allowed: Optional[Mapping[int, Sequence[int]]] = None,
     *,
     budget: _Budget,
@@ -758,8 +762,8 @@ def iter_hom_images(
 ) -> Iterator[tuple[int, ...]]:
     """Yield the full image array of every hom G -> cod determined by its generators.
 
-    `G` is a FiniteGroup, searched on `gens` (default G.generators), or a
-    HomDomain, which carries its own generators.  Generator g ranges over
+    `G` is a FiniteGroup, searched on its `generators`, or a HomDomain, which
+    carries its own (`G.hom_domain(gens)` for others).  Generator g ranges over
     allowed[g] in the given order, or over all of `cod` when g has no entry;
     candidates whose element order cannot match are dropped (with
     `injective=True` the order must equal g's, otherwise divide it).  Output
@@ -775,7 +779,7 @@ def iter_hom_images(
     if n == 1:
         yield (0,)
         return
-    dom = G if isinstance(G, HomDomain) else G.hom_domain(gens)
+    dom = G if isinstance(G, HomDomain) else G.hom_domain()
     allowed = allowed or {}
     candidates = []
     for g, o in zip(dom.gens, dom.gen_orders()):
@@ -843,14 +847,13 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
 def find_constrained_hom(
     G: "FiniteGroup | HomDomain",
     H,
-    gens: Optional[Sequence[int]] = None,
     allowed: Optional[Mapping[int, Sequence[int]]] = None,
     *,
     budget: _Budget,
     limit: int = 1,
 ) -> list[tuple[int, ...]]:
     """The first `limit` hom image arrays of `iter_hom_images`."""
-    return list(itertools.islice(iter_hom_images(G, H, gens, allowed, budget=budget), limit))
+    return list(itertools.islice(iter_hom_images(G, H, allowed, budget=budget), limit))
 
 
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
@@ -982,32 +985,22 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, name: Optional[str] = None):
     return P, (p1, p2), (i1, i2)
 
 
-def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
-    """Coset group G/N with the canonical surjection; requires N normal."""
-    if N.parent != G:
-        raise NotASubgroup("subgroup belongs to a different parent")
+def quotient(N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
+    """Coset group G/N of N's parent G with the canonical surjection; requires N normal."""
     if not N.is_normal():
         raise NotNormal("subgroup is not normal")
-    rep = [-1] * G.order  # minimal element of each coset
-    cosets: list[int] = []
+    G = N.parent
+    # cosets are numbered by their least element: the first element of a coset
+    # met in increasing order is its least, so the identity's coset comes first
+    reps: list[int] = []
     coset_of = [-1] * G.order
     for x in range(G.order):
-        if coset_of[x] >= 0:
-            continue
-        members = sorted(G.table[x][s] for s in N.elements)
-        idx = len(cosets)
-        cosets.append(members[0])
-        for y in members:
-            coset_of[y] = idx
-    # canonical order: by minimal coset element; identity coset is first already
-    order_keys = sorted(range(len(cosets)), key=lambda c: cosets[c])
-    relabel = {old: new for new, old in enumerate(order_keys)}
-    reps = [cosets[old] for old in order_keys]
-    k = len(reps)
-    table = tuple(
-        tuple(relabel[coset_of[G.table[reps[a]][reps[b]]]] for b in range(k)) for a in range(k)
-    )
+        if coset_of[x] < 0:
+            for s in N.elements:
+                coset_of[G.table[x][s]] = len(reps)
+            reps.append(x)
+    table = tuple(tuple(coset_of[G.table[a][b]] for b in reps) for a in reps)
     Q = FiniteGroup(table, name=f"{G.name}/N" if G.name else None)
-    proj = GroupHom(G, Q, tuple(relabel[coset_of[x]] for x in range(G.order)))
+    proj = GroupHom(G, Q, tuple(coset_of))
     return Q, proj
 

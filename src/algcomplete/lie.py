@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 from typing import Optional
 
 import numpy as np
@@ -104,7 +105,13 @@ class LieAlgebra:
 
     @staticmethod
     def create(p: int, sc, name: Optional[str] = None) -> "LieAlgebra":
-        """The algebra on the constants `sc`, read by `int_table` and taken mod p."""
+        """The algebra on the constants `sc`, read by `int_table` and taken mod p.
+
+        p must be a prime integer (not a bool or a float): TableInvalid otherwise.
+        """
+        if (isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 2
+                or any(p % q == 0 for q in range(2, isqrt(p) + 1))):
+            raise TableInvalid("characteristic is not a prime", (p,))
         c = int_table(sc, ndim=3) % p
         d = c.shape[0]
         if c.shape != (d, d, d):
@@ -143,17 +150,16 @@ def abelian_lie(dim: int, p: int) -> LieAlgebra:
 def nonabelian2(p: int) -> LieAlgebra:
     """The 2-dim algebra with [e1, e2] = e2."""
     c = np.zeros((2, 2, 2), dtype=np.int64)
-    c[0, 1, 1] = 1
-    c[1, 0, 1] = p - 1
+    c[0, 1, 1], c[1, 0, 1] = 1, -1  # reduced mod p by `create`
     return LieAlgebra.create(p, c, f"aff2(F{p})")
 
 
 def sl2(p: int) -> LieAlgebra:
     """Basis (e, f, h): [e,f]=h, [h,e]=2e, [h,f]=-2f."""
-    c = np.zeros((3, 3, 3), dtype=np.int64)
-    c[0, 1, 2], c[1, 0, 2] = 1, p - 1
-    c[2, 0, 0], c[0, 2, 0] = 2 % p, (p - 2) % p
-    c[2, 1, 1], c[1, 2, 1] = (p - 2) % p, 2 % p
+    c = np.zeros((3, 3, 3), dtype=np.int64)  # reduced mod p by `create`
+    c[0, 1, 2], c[1, 0, 2] = 1, -1
+    c[2, 0, 0], c[0, 2, 0] = 2, -2
+    c[2, 1, 1], c[1, 2, 1] = -2, 2
     return LieAlgebra.create(p, c, f"sl2(F{p})")
 
 

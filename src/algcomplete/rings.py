@@ -136,7 +136,8 @@ def zero_ring(n: int) -> FiniteRing:
 def subring(R: FiniteRing, elements) -> FiniteRing:
     """The ring on a subset closed under + and *, relabeled with 0 first."""
     elems = sorted(set(elements))
-    assert elems[0] == 0
+    if 0 not in elems:
+        raise TableInvalid("subset must contain 0")
     local = {e: i for i, e in enumerate(elems)}
     for a in elems:
         for b in elems:

@@ -1,7 +1,37 @@
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
+import algcomplete
 from algcomplete.catalog import build_catalog, cyclic, dihedral, symmetric
 from algcomplete.groups import FiniteGroup, direct_product, group_from_permutations
+
+
+def public_members():
+    """(module.attr, object) for every public function and class defined in the package."""
+    for info in pkgutil.iter_modules(algcomplete.__path__):
+        if info.name.startswith("_"):
+            continue
+        mod = importlib.import_module(f"algcomplete.{info.name}")
+        for attr, obj in vars(mod).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                yield f"{info.name}.{attr}", obj
+
+
+def public_callables():
+    """(module.qualname, callable) for every public function and method of the package."""
+    for name, obj in public_members():
+        if inspect.isclass(obj):
+            for meth in vars(obj):
+                fn = getattr(obj, meth)
+                if not meth.startswith("_") and inspect.isfunction(fn):
+                    yield f"{name}.{meth}", fn
+        else:
+            yield name, obj
 
 
 @pytest.fixture(scope="session")

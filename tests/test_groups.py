@@ -356,9 +356,23 @@ def test_all_subgroups_of_s3(S3):
     assert sorted(s.order for s in normal_subgroups(S3)) == [1, 3, 6]
 
 
+@pytest.mark.parametrize("image, reason, witness", [
+    ((0,), "image must have one entry per element of the domain", (1,)),
+    ((), "image must have one entry per element of the domain", (0,)),
+    ((0, 1, 2), "image must have one entry per element of the domain", (3,)),
+    ((0, 5), "image entry out of range", (1, 5)),
+    ((0, -1), "image entry out of range", (1, -1)),
+    ((1, 0), "homomorphism must send identity to identity", ()),
+], ids=["short", "empty", "long", "above", "negative", "identity"])
+def test_hom_create_checks_the_image_shape_first(Z2, Z3, image, reason, witness):
+    with pytest.raises(TableInvalid) as err:
+        GroupHom.create(Z2, Z3, image)
+    assert (err.value.reason, err.value.witness) == (reason, witness)
+
+
 def test_quotient_s3_by_a3(S3):
     A3 = next(s for s in normal_subgroups(S3) if s.order == 3)
-    Q, proj = quotient(S3, A3)
+    Q, proj = quotient(A3)
     assert Q.order == 2
     assert proj.kernel().elements == A3.elements
 
@@ -505,7 +519,8 @@ def test_constrained_search_matches_brute_force(G, H, gens, allowed):
         img for img in brute_force_homs(G, H, gens)
         if all(img[g] in pool for g, pool in zip(gens, pools))
     }
-    found = find_constrained_hom(G, H, gens, allowed, budget=search_budget(), limit=10**9)
+    found = find_constrained_hom(G.hom_domain(gens), H, allowed, budget=search_budget(),
+                                 limit=10**9)
     assert len(found) == len(expected) and set(found) == expected
     if expected:
         # least generator image tuple, each image ranked by its place in the pool

@@ -79,6 +79,17 @@ def test_create_rejects_jacobi_failure():
         LieAlgebra.create(5, c)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, -5, True, 2.0], ids=repr)
+def test_create_rejects_a_characteristic_that_is_not_a_prime(p):
+    """Checked before any residue mod p: no ring that is not a field, no division by zero."""
+    with pytest.raises(TableInvalid) as err:
+        LieAlgebra.create(p, np.zeros((2, 2, 2), dtype=np.int64))
+    assert (err.value.reason, err.value.witness) == ("characteristic is not a prime", (p,))
+    for build in (sl2, nonabelian2):
+        with pytest.raises(TableInvalid, match="characteristic is not a prime"):
+            build(p)
+
+
 def test_sl2_is_valid_and_perfect():
     L = sl2(5)
     rep = lie_classify(L)

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import algcomplete
 from algcomplete.errors import TableInvalid
 from algcomplete.rings import (
     FiniteRing,
@@ -92,6 +96,29 @@ def test_subring_of_z8():
 def test_subring_rejects_non_closed():
     with pytest.raises(TableInvalid):
         subring(ring_zn(8), [0, 1, 2])
+
+
+@pytest.mark.parametrize("subset", [[1, 2], []], ids=["without-0", "empty"])
+def test_subring_rejects_a_subset_without_zero(subset):
+    with pytest.raises(TableInvalid, match="^subset must contain 0$"):
+        subring(ring_zn(6), subset)
+
+
+def test_subring_rejects_a_subset_without_zero_under_python_O():
+    code = "\n".join([
+        "from algcomplete.errors import TableInvalid",
+        "from algcomplete.rings import ring_zn, subring",
+        "for subset in ([1, 2], []):",
+        "    try:",
+        "        subring(ring_zn(6), subset)",
+        "    except TableInvalid as exc:",
+        "        print(exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(algcomplete.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "subset must contain 0\n" * 2
 
 
 def test_unitalization_is_unital():
