@@ -15,6 +15,7 @@ from .groups import (
     DEFAULT_SEARCH_BUDGET,
     FiniteGroup,
     GroupHom,
+    HomDomain,
     Subgroup,
     _Budget,
     iter_hom_images,
@@ -39,30 +40,44 @@ def _perm_order(p) -> int:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AutomorphismGroup:
-    """Aut(base) as an indexed list of permutation arrays.
+    """Aut(base) as one read-only (|Aut| x |base|) integer array of permutations.
 
-    Composition is (f.g)(x) = f(g(x)); element 0 is the identity and the
-    list is sorted lexicographically, which pins the identity at index 0.
-    The Cayley table (`carrier`) is only materialized on demand because it
-    is quadratic in the (possibly large) automorphism count; all searches
-    can run against the group-ops interface (order/mul/element_order)
-    implemented directly on the permutations.
+    Row i of `perms` is automorphism i as the images of base's elements.
+    Composition is (f.g)(x) = f(g(x)); the rows are sorted lexicographically,
+    which pins the identity at index 0.  Two automorphism groups are equal
+    when they have the same base and the same rows.  The Cayley table
+    (`carrier`) is only materialized on demand because it is quadratic in the
+    (possibly large) automorphism count; all searches can run against the
+    group-ops interface (order/mul/element_order) implemented directly on the
+    permutations.
     """
 
     base: FiniteGroup
-    elems: tuple[tuple[int, ...], ...]
+    perms: np.ndarray
+
+    def __eq__(self, other):
+        return (isinstance(other, AutomorphismGroup) and self.base == other.base
+                and np.array_equal(self.perms, other.perms))
+
+    def __hash__(self):
+        return hash((self.base, self.order))
 
     @property
     def order(self) -> int:
-        return len(self.elems)
+        return len(self.perms)
+
+    @cached_property
+    def elems(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of `perms` as tuples, for readers that take one automorphism at a time."""
+        return tuple(map(tuple, self.perms.tolist()))
 
     @cached_property
     def _index(self) -> dict:
         """Each element's index by its fingerprint, its images of the base's generators."""
-        gens = self.base.generators
-        return {tuple(p[g] for g in gens): i for i, p in enumerate(self.elems)}
+        fingerprints = self.perms[:, list(self.base.generators)].tolist()
+        return {tuple(f): i for i, f in enumerate(fingerprints)}
 
     def index_of_perm(self, p) -> int:
         return self._index[tuple(p[g] for g in self.base.generators)]
@@ -100,7 +115,7 @@ class AutomorphismGroup:
         if n > DEFAULT_ELEMENT_CAP:
             raise SizeCap(f"automorphism group order {n} exceeds cap {DEFAULT_ELEMENT_CAP}")
         size = self.base.order
-        perms = np.array(self.elems, dtype=np.intp)
+        perms = self.perms
         fingerprints = perms[:, list(self.base.generators)]
         composed = perms[:, fingerprints]  # composed[i, j] = f_i(fingerprint of f_j)
         known = np.zeros(n, dtype=np.intp)  # label of each element's prefix
@@ -121,21 +136,88 @@ class AutomorphismGroup:
 
 
 def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
-    """Complete automorphism list via backtracking on generator images.
+    """Aut(G), from the pointwise stabilizer chain of G's generators, rows sorted.
 
-    Generators range over elements of equal order; partial maps are pruned
-    by closure consistency and injectivity.  The search has the fixed limit
-    DEFAULT_SEARCH_BUDGET, so the result never depends on call order.  It is
-    kept on G, so it lives as long as G does.
+    The search has the fixed limit DEFAULT_SEARCH_BUDGET, so the result
+    never depends on call order.  It is kept on G, so it lives as long as G
+    does.
     """
     aut = G.__dict__.get("automorphism_group")
     if aut is None:
-        b = _Budget(DEFAULT_SEARCH_BUDGET, "automorphism search")
-        perms = sorted(iter_hom_images(G, G, budget=b, injective=True))
-        if perms[0] != tuple(range(G.order)):
+        perms = _stabilizer_chain(G)
+        # big-endian rows compare bytewise in numeric order, so one sort of
+        # the rows as opaque byte strings orders them lexicographically
+        rows = perms.astype(perms.dtype.newbyteorder(">")).view(f"V{perms.itemsize * G.order}")
+        perms = perms[np.argsort(rows.ravel())]
+        if not np.array_equal(perms[0], np.arange(G.order)):
             raise TableInvalid("automorphism search did not return the identity first")
-        aut = G.__dict__["automorphism_group"] = AutomorphismGroup(G, tuple(perms))
+        perms.flags.writeable = False
+        aut = G.__dict__["automorphism_group"] = AutomorphismGroup(G, perms)
     return aut
+
+
+def _stabilizer_chain(G: FiniteGroup) -> np.ndarray:
+    """Every automorphism of G once, as the rows of an int16 array (int32 past 32767 elements).
+
+    Stab_d, the automorphisms fixing the generators g_0..g_{d-1}, is the
+    union of the cosets rep_c . Stab_{d+1}, one per point c of the orbit of
+    g_d under Stab_d, with rep_c(g_d) = c; each coset is one gather
+    rep_c[Stab_{d+1}].  Stab_{k-1} is one hom search with the earlier
+    generators fixed, so its one open level is batched when it reaches
+    BATCH_LOOKUPS.  For d < k-1 the orbit is closed under the automorphisms
+    known to lie in Stab_d: the rows of Stab_{k-1}, the representatives
+    searched on the levels below, and at d = 0 the inner automorphisms of
+    the generators, which cost no search.  Each order-matching candidate c
+    still outside the orbit gets one first-solution search for an
+    automorphism sending g_d to c; a found one joins the automorphisms the
+    orbit is closed under.  All searches share one "automorphism search"
+    budget and the schedules, built once.
+    """
+    n = G.order
+    dtype = np.int16 if n < 2**15 else np.int32
+    dom = G.hom_domain()
+    gens = dom.gens
+    dom = HomDomain(n, gens, dom.columns, levels=tuple(dom.schedules()))
+    budget = _Budget(DEFAULT_SEARCH_BUDGET, "automorphism search")
+    fixed = {g: [g] for g in gens[:-1]}
+    stab = np.array(list(iter_hom_images(dom, G, fixed, budget=budget, injective=True)), dtype=dtype)
+    moves = [(row, row.tolist()) for row in stab]  # (array, list) pairs, each in Stab_d
+    t, inverses, orders = G.table, G.inverses, G.element_orders
+    for d in range(len(gens) - 2, -1, -1):
+        g = gens[d]
+        if d == 0:
+            for h in gens:
+                inner = [t[t[h][x]][inverses[h]] for x in range(n)]
+                moves.append((np.array(inner, dtype=dtype), inner))
+        reps = {g: np.arange(n, dtype=dtype)}
+        _close_orbit(reps, moves)
+        fixed = {x: [x] for x in gens[:d]}
+        for c in range(n):
+            if c in reps or orders[c] != orders[g]:
+                continue
+            fixed[g] = [c]
+            img = next(iter_hom_images(dom, G, fixed, budget=budget, injective=True), None)
+            if img is not None:
+                reps[c] = np.array(img, dtype=dtype)
+                moves.append((reps[c], list(img)))
+                _close_orbit(reps, moves)
+        stab = np.concatenate([rep[stab] for rep in reps.values()])
+    return stab
+
+
+def _close_orbit(reps: dict, moves: list) -> None:
+    """Close the orbit `reps` under the (array, list) automorphisms `moves`, in place.
+
+    `reps` maps each orbit point to an automorphism sending the base point
+    there; a point y = m(x) reached first from x gets m . rep_x, one gather.
+    """
+    orbit = list(reps)
+    for x in orbit:
+        for row, images in moves:
+            y = images[x]
+            if y not in reps:
+                reps[y] = row[reps[x]]
+                orbit.append(y)
 
 
 def conjugation_morphism(G: FiniteGroup) -> GroupHom:

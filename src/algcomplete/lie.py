@@ -108,6 +108,11 @@ class LieAlgebra:
         """The algebra on the constants `sc`, read by `int_table` and taken mod p.
 
         p must be a prime integer (not a bool or a float): TableInvalid otherwise.
+        The layer computes in int64, and its widest sum is a bracket of
+        reduced coordinates, d^2 products of three entries below p (`bracket`
+        and the section test of `_bracket_respecting_section`); every other
+        sum is narrower.  A p at which d^2 (p-1)^3 exceeds int64 raises
+        TableInvalid naming p.
         """
         if (isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 2
                 or any(p % q == 0 for q in range(2, isqrt(p) + 1))):
@@ -116,6 +121,8 @@ class LieAlgebra:
         d = c.shape[0]
         if c.shape != (d, d, d):
             raise TableInvalid("structure constants must be a d*d*d cube")
+        if d * d * (int(p) - 1) ** 3 > np.iinfo(np.int64).max:
+            raise TableInvalid("characteristic too large for int64 brackets", (p,))
         if d:
             if not np.array_equal(c, (-c.transpose(1, 0, 2)) % p):
                 raise TableInvalid("bracket is not antisymmetric")

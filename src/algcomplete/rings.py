@@ -134,7 +134,15 @@ def zero_ring(n: int) -> FiniteRing:
 
 
 def subring(R: FiniteRing, elements) -> FiniteRing:
-    """The ring on a subset closed under + and *, relabeled with 0 first."""
+    """The ring on a subset closed under + and *, relabeled with 0 first.
+
+    Every entry must be an integer (not a bool) in range(R.order), and 0
+    must be among them: TableInvalid otherwise.
+    """
+    elements = list(elements)
+    for e in elements:
+        if isinstance(e, bool) or not isinstance(e, (int, np.integer)) or not 0 <= e < R.order:
+            raise TableInvalid("subset entry is not an element of the ring", (e,))
     elems = sorted(set(elements))
     if 0 not in elems:
         raise TableInvalid("subset must contain 0")

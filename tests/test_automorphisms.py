@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +8,16 @@ from algcomplete.catalog import cyclic, dicyclic, dihedral, symmetric
 from algcomplete.commutators import center, centralizer
 from algcomplete.completeness import classify_completeness
 from algcomplete.errors import TableInvalid
-from algcomplete.groups import Subgroup, is_isomorphic, normal_subgroups
+from algcomplete.groups import (
+    DEFAULT_SEARCH_BUDGET,
+    Subgroup,
+    _Budget,
+    direct_product,
+    group_from_permutations,
+    is_isomorphic,
+    iter_hom_images,
+    normal_subgroups,
+)
 from algcomplete.automorphisms import (
     AutomorphismGroup,
     automorphism_group,
@@ -15,7 +27,7 @@ from algcomplete.automorphisms import (
     outer_quotient,
     relative_classifier,
 )
-from conftest import relabel
+from conftest import holomorph_generators, relabel
 
 # independently known automorphism group orders
 KNOWN_AUT_ORDERS = {
@@ -156,9 +168,53 @@ def test_carrier_shares_its_int_objects(Hol17):
 
 def test_carrier_of_a_list_missing_an_element_raises(S4):
     aut = automorphism_group(S4)
-    broken = AutomorphismGroup(S4, aut.elems[:7] + aut.elems[8:])
+    broken = AutomorphismGroup(S4, np.delete(aut.perms, 7, axis=0))
     with pytest.raises(TableInvalid, match="not closed under composition"):
         broken.carrier
+
+
+def full_enumeration(G):
+    """The reference: every injective hom G -> G from one search, sorted."""
+    return sorted(iter_hom_images(G, G, budget=_Budget(DEFAULT_SEARCH_BUDGET, "reference"),
+                                  injective=True))
+
+
+LARGE = {
+    "D60": lambda: dihedral(60),
+    "D99": lambda: dihedral(99),
+    "Dic30": lambda: dicyclic(30),
+    "Hol(Z17)": lambda: group_from_permutations(17, holomorph_generators(17), name="Hol(Z17)"),
+    "Hol(Z23)": lambda: group_from_permutations(23, holomorph_generators(23), name="Hol(Z23)"),
+    "Z2xS5": lambda: direct_product(cyclic(2), symmetric(5), name="Z2xS5")[0],
+}
+
+
+def assert_matches_full_enumeration(G):
+    aut = automorphism_group(G)
+    assert aut.perms.dtype == np.int16 and not aut.perms.flags.writeable
+    assert aut.perms.tolist() == [list(p) for p in full_enumeration(G)], G.name
+
+
+def test_stabilizer_chain_lists_the_builtin_groups_like_the_full_enumeration(catalog):
+    rnd = random.Random(14)
+    for G in catalog:
+        assert_matches_full_enumeration(G)
+        assert_matches_full_enumeration(relabel(G, rnd))
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_stabilizer_chain_lists_large_groups_like_the_full_enumeration(name):
+    G = LARGE[name]()
+    assert_matches_full_enumeration(G)
+    assert_matches_full_enumeration(relabel(G, random.Random(name)))
+
+
+def test_equal_automorphism_groups_have_the_same_base_and_rows(S4, S3):
+    aut = automorphism_group(S4)
+    assert AutomorphismGroup(S4, aut.perms.copy()) == aut
+    assert AutomorphismGroup(S4, aut.perms[::-1]) != aut
+    assert AutomorphismGroup(S4, aut.perms[:-1]) != aut
+    assert automorphism_group(S3) != aut
 
 
 def test_conjugation_indices_match_index_of_perm(catalog, Hol17):

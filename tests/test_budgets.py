@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 from algcomplete import automorphisms, commutators, completeness, extensions, groups
@@ -21,6 +22,7 @@ from algcomplete.groups import (
     FiniteGroup,
     Subgroup,
     _Budget,
+    direct_product,
     enumerate_homs,
     find_constrained_hom,
     is_isomorphic,
@@ -92,10 +94,34 @@ def test_exhausted_search_names_its_phase(monkeypatch, module, search, make_args
 def test_automorphism_group_does_not_depend_on_call_order():
     A5 = alternating(5)
     aut = automorphism_group(A5)
-    assert automorphism_group(A5) is aut and len(aut.elems) == 120
+    assert automorphism_group(A5) is aut and len(aut.perms) == 120
     twin = FiniteGroup(A5.table, A5.name)
     again = automorphism_group(twin)
-    assert again is not aut and again.elems == aut.elems
+    assert again is not aut and np.array_equal(again.perms, aut.perms)
+
+
+def automorphism_nodes(monkeypatch, G) -> int:
+    """The nodes the automorphism search spends on a group whose Aut is not yet kept."""
+    spent = []
+
+    class Recording(groups._Budget):
+        def __init__(self, n, phase):
+            super().__init__(n, phase)
+            spent.append(self)
+
+    monkeypatch.setattr(automorphisms, "_Budget", Recording)
+    automorphism_group(G)
+    (budget,) = spent
+    assert budget.phase == "automorphism search"
+    return budget.size - budget.left
+
+
+def test_automorphism_search_spends_few_nodes(monkeypatch):
+    """Stabilizer cosets instead of one search through every automorphism."""
+    V4 = direct_product(cyclic(2), cyclic(2))[0]
+    Z2_4 = direct_product(V4, V4)[0]
+    assert automorphism_nodes(monkeypatch, dihedral(99)) <= 200  # 5940 automorphisms
+    assert automorphism_nodes(monkeypatch, Z2_4) <= 400  # 20160 automorphisms
 
 
 def test_every_search_takes_a_labelled_budget():

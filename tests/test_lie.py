@@ -90,6 +90,27 @@ def test_create_rejects_a_characteristic_that_is_not_a_prime(p):
             build(p)
 
 
+INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize("p", [1008209, 2**31 - 1], ids=repr)
+def test_create_rejects_a_characteristic_that_overflows_int64(p):
+    """sl2 brackets sum d^2 = 9 products of three entries below p; past int64 they would wrap."""
+    assert 9 * (p - 1) ** 3 > INT64_MAX
+    with pytest.raises(TableInvalid) as err:
+        sl2(p)
+    assert (err.value.reason, err.value.witness) == ("characteristic too large for int64 brackets", (p,))
+
+
+@pytest.mark.parametrize("p", [65521, 1008199], ids=repr)
+def test_sl2_classifies_up_to_the_largest_prime_int64_holds(p):
+    """1008199 is the largest prime p with 9 (p-1)^3 in int64, and the next one (1008209) is refused."""
+    assert 9 * (p - 1) ** 3 <= INT64_MAX
+    rep = lie_classify(sl2(p))
+    assert (rep.center_dim, rep.der_dim, rep.is_perfect) == (0, 3, True)
+    assert rep.strong_complete and rep.proto_complete
+
+
 def test_sl2_is_valid_and_perfect():
     L = sl2(5)
     rep = lie_classify(L)

@@ -121,6 +121,15 @@ def test_subring_rejects_a_subset_without_zero_under_python_O():
     assert proc.stdout == "subset must contain 0\n" * 2
 
 
+@pytest.mark.parametrize("subset, bad", [([0, 7], 7), ([0, -3, 3], -3), ([0, True], True),
+                                          ([0, 1.0], 1.0), ([0, "1"], "1")],
+                         ids=["past-the-end", "negative", "bool", "float", "str"])
+def test_subring_rejects_an_entry_that_is_not_an_element(subset, bad):
+    with pytest.raises(TableInvalid) as err:
+        subring(ring_zn(6), subset)
+    assert (err.value.reason, err.value.witness) == ("subset entry is not an element of the ring", (bad,))
+
+
 def test_unitalization_is_unital():
     for R in (zero_ring(2), ring_zn(3), subring(ring_zn(8), [0, 2, 4, 6])):
         u = unitalization(R)
