@@ -51,11 +51,23 @@ class AutomorphismGroup:
     (`carrier`) is only materialized on demand because it is quadratic in the
     (possibly large) automorphism count; all searches can run against the
     group-ops interface (order/mul/element_order) implemented directly on the
-    permutations.
+    permutations.  `perms` stays read-only: a caller's array that it can
+    still write to is copied, and an unpickled one is locked again.
     """
 
     base: FiniteGroup
     perms: np.ndarray
+
+    def __post_init__(self):
+        if self.perms.flags.writeable:
+            perms = self.perms.copy()
+            perms.flags.writeable = False
+            object.__setattr__(self, "perms", perms)
+
+    def __setstate__(self, state):
+        # numpy does not pickle the read-only flag
+        self.__dict__.update(state)
+        self.perms.flags.writeable = False
 
     def __eq__(self, other):
         return (isinstance(other, AutomorphismGroup) and self.base == other.base
@@ -146,9 +158,11 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
     if aut is None:
         perms = _stabilizer_chain(G)
         # big-endian rows compare bytewise in numeric order, so one sort of
-        # the rows as opaque byte strings orders them lexicographically
-        rows = perms.astype(perms.dtype.newbyteorder(">")).view(f"V{perms.itemsize * G.order}")
-        perms = perms[np.argsort(rows.ravel())]
+        # the rows as opaque byte strings orders them lexicographically; the
+        # key is freed before the sorted copy is made
+        order = np.argsort(
+            perms.astype(perms.dtype.newbyteorder(">")).view(f"V{perms.itemsize * G.order}").ravel())
+        perms = perms[order]
         if not np.array_equal(perms[0], np.arange(G.order)):
             raise TableInvalid("automorphism search did not return the identity first")
         perms.flags.writeable = False
@@ -201,7 +215,10 @@ def _stabilizer_chain(G: FiniteGroup) -> np.ndarray:
                 reps[c] = np.array(img, dtype=dtype)
                 moves.append((reps[c], list(img)))
                 _close_orbit(reps, moves)
-        stab = np.concatenate([rep[stab] for rep in reps.values()])
+        cosets = np.empty((len(reps), *stab.shape), dtype=dtype)
+        for coset, rep in zip(cosets, reps.values()):
+            np.take(rep, stab, out=coset)
+        stab = cosets.reshape(-1, n)
     return stab
 
 

@@ -1,4 +1,6 @@
+import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from algcomplete.completeness import classify_completeness
 from algcomplete.errors import TableInvalid
 from algcomplete.groups import (
     DEFAULT_SEARCH_BUDGET,
+    FiniteGroup,
     Subgroup,
     _Budget,
     direct_product,
@@ -215,6 +218,36 @@ def test_equal_automorphism_groups_have_the_same_base_and_rows(S4, S3):
     assert AutomorphismGroup(S4, aut.perms[::-1]) != aut
     assert AutomorphismGroup(S4, aut.perms[:-1]) != aut
     assert automorphism_group(S3) != aut
+
+
+def test_unpickled_automorphism_group_is_read_only(S4):
+    aut = automorphism_group(S4)
+    G = pickle.loads(pickle.dumps(S4))
+    again = G.__dict__["automorphism_group"]
+    assert again.base is G and again == aut
+    assert not again.perms.flags.writeable
+
+
+def test_automorphism_group_copies_a_writable_array(S4):
+    aut = automorphism_group(S4)
+    rows = aut.perms.copy()
+    given_rows = AutomorphismGroup(S4, rows)
+    rows[1] = rows[2]
+    assert not given_rows.perms.flags.writeable
+    assert given_rows == aut
+
+
+def test_automorphism_group_of_d99_peaks_small():
+    # Aut(D99) is 5940 int16 rows of 198 images, 2.2 MiB: the cosets are gathered
+    # into one array and the sort key is dropped before the sorted copy is made
+    G = FiniteGroup.from_table(dihedral(99).table)
+    tracemalloc.start()
+    try:
+        assert automorphism_group(G).order == 5940
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 2**20
 
 
 def test_conjugation_indices_match_index_of_perm(catalog, Hol17):

@@ -179,6 +179,39 @@ def test_validate_table_fixed_cases(table, expected):
     assert verdict(reference_validate_table, table) == expected
 
 
+def normalized_latin_squares(n):
+    """Every Latin square on range(n) whose row 0 and column 0 are 0, 1, ..., n-1."""
+    table = [list(range(n))] + [[i] + [0] * (n - 1) for i in range(1, n)]
+    in_row = [set(row[:1]) for row in table]
+    in_col = [{j} for j in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(c):
+        if c == len(cells):
+            yield [row[:] for row in table]
+            return
+        i, j = cells[c]
+        for v in range(n):
+            if v not in in_row[i] and v not in in_col[j]:
+                table[i][j] = v
+                in_row[i].add(v)
+                in_col[j].add(v)
+                yield from fill(c + 1)
+                in_row[i].remove(v)
+                in_col[j].remove(v)
+
+    yield from fill(0)
+
+
+@pytest.mark.parametrize("n, squares, groups", [(4, 4, 4), (5, 56, 6), (6, 9408, 80)])
+def test_validate_table_matches_the_triple_scan_on_every_latin_square(n, squares, groups):
+    """Light's test on generators against the scan of every triple, on all loops of order n."""
+    verdicts = [verdict(validate_table, t) for t in normalized_latin_squares(n)]
+    expected = [verdict(reference_validate_table, t) for t in normalized_latin_squares(n)]
+    assert verdicts == expected
+    assert (len(verdicts), verdicts.count(None)) == (squares, groups)
+
+
 def test_validate_table_returns_the_checked_array(S3):
     t = validate_table(S3.table)
     assert t.dtype == np.int64 and t.tolist() == [list(row) for row in S3.table]

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import algcomplete
+from algcomplete import groups, rings
+from algcomplete.catalog import dicyclic, symmetric
 from algcomplete.errors import TableInvalid
 from algcomplete.rings import (
     FiniteRing,
@@ -78,6 +80,83 @@ def test_create_memory_stays_below_cubic():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def reference_ring_laws(add, mul):
+    """The three ring laws scanned over every triple, in the order `FiniteRing.create` names them."""
+    A, M = np.asarray(add), np.asarray(mul)
+    bad = np.argwhere(M[M] != M[:, M])
+    if bad.size:
+        raise TableInvalid("multiplication not associative", tuple(int(x) for x in bad[0]))
+    if (M[:, A] != A[M[:, :, None], M[:, None, :]]).any():
+        raise TableInvalid("left distributivity fails")
+    if (M[A] != A[M[:, None, :], M[None, :, :]]).any():
+        raise TableInvalid("right distributivity fails")
+
+
+def ring_verdict(check, add, mul):
+    try:
+        check(add, mul)
+    except TableInvalid as err:
+        return err.reason, err.witness
+    return None
+
+
+# additive groups Z_p^k, the element sum x_i p^i written x
+ADDITIVE = {"Z/n": None, "Z2^2": (2, 2), "Z2^3": (2, 3), "Z3^2": (3, 2)}
+
+
+@st.composite
+def ring_tables(draw):
+    """Both tables on a drawn additive group, with up to 5 products changed and labels shuffled.
+
+    The product is c.x.y in each coordinate, xy = x or xy = y; the last two
+    are associative and fail a distributive law unless the group is trivial.
+    """
+    kind = draw(st.sampled_from(sorted(ADDITIVE)))
+    p, k = ADDITIVE[kind] or (draw(st.integers(1, 12)), 1)
+    n = p**k
+    digits = [[x // p**i % p for i in range(k)] for x in range(n)]
+
+    def number(ds):
+        return sum(d % p * p**i for i, d in enumerate(ds))
+
+    c = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+    product = draw(st.sampled_from(["cxy", "left", "right"]))
+    add = [[number([a + b for a, b in zip(digits[x], digits[y])]) for y in range(n)]
+           for x in range(n)]
+    mul = [[number([ci * a * b for ci, a, b in zip(c, digits[x], digits[y])]) if product == "cxy"
+            else x if product == "left" else y for y in range(n)] for x in range(n)]
+    for _ in range(draw(st.integers(0, 5))):
+        i, j, v = (draw(st.integers(0, n - 1)) for _ in range(3))
+        mul[i][j] = v
+    new = [0] + draw(st.permutations(range(1, n)))
+    relabelled = [[[0] * n for _ in range(n)] for _ in range(2)]
+    for a in range(n):
+        for b in range(n):
+            relabelled[0][new[a]][new[b]] = new[add[a][b]]
+            relabelled[1][new[a]][new[b]] = new[mul[a][b]]
+    return relabelled
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_tables())
+def test_create_matches_the_triple_scans(tables):
+    add, mul = tables
+    assert ring_verdict(FiniteRing.create, add, mul) == ring_verdict(reference_ring_laws, add, mul)
+
+
+def test_valid_tables_never_reach_the_triple_scan(monkeypatch):
+    """A valid table is proved on its generators alone: the scan runs only to name a witness."""
+    def scan(*args):
+        raise AssertionError("a valid table was scanned triple by triple")
+
+    monkeypatch.setattr(groups, "first_mismatch", scan)
+    monkeypatch.setattr(rings, "first_mismatch", scan)
+    U = unitalization(ring_zn(12)).U
+    assert FiniteRing.create(U.np_add, U.np_mul).order == 144
+    for G in (dicyclic(30), symmetric(5)):
+        groups.validate_table(G.table)
 
 
 def test_zero_ring_has_no_unit():
