@@ -138,31 +138,43 @@ def _check_range(t: np.ndarray, n: int) -> None:
 
 
 def table_generators(t: np.ndarray) -> list[int]:
-    """Elements S of the table t (identity 0) whose products x -> x*s from 0 reach every element.
+    """Elements S of the table t (identity 0) whose products, with 0, reach every element.
 
-    The smallest element not yet reached joins S, and the reached set is
-    closed again under right multiplication by all of S, one frontier of
-    boolean masks at a time.  In a group each new element at least doubles
-    the reached subgroup, so |S| <= log2(n).
+    The smallest element not yet reached joins S, and the reached set R is
+    closed again under products, all of R times all of R in one numpy step
+    per round, so a word in S of length w is reached within about log2(w)
+    rounds.  In a group each new element at least doubles the reached
+    subgroup, so |S| <= log2(n).
     """
     n = len(t)
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
     gens: list[int] = []
     while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            new = np.zeros(n, dtype=bool)
-            new[t[np.ix_(frontier, gens)]] = True
-            new &= ~reached
-            reached |= new
-            frontier = np.flatnonzero(new)
+        s = int(np.argmin(reached))
+        gens.append(s)
+        reached[s] = True
+        r = np.flatnonzero(reached)
+        while True:
+            reached[t[np.ix_(r, r)]] = True
+            grown = np.flatnonzero(reached)
+            if grown.size in (r.size, n):
+                break
+            r = grown
     return gens
 
 
 def validate_table(table) -> np.ndarray:
     """The group table `table` as a checked int64 array (`int_table`).
+
+    See `validate_table_with_generators`, which also returns the
+    generating set that proved associativity.
+    """
+    return validate_table_with_generators(table)[0]
+
+
+def validate_table_with_generators(table) -> tuple[np.ndarray, list[int]]:
+    """The group table `table` as a checked int64 array, and its generators S.
 
     Raises TableInvalid with a witness at the first failure, checking in
     this order: square, entries in range, identity on the left, identity on
@@ -173,7 +185,7 @@ def validate_table(table) -> np.ndarray:
     Associativity is proved on the generators S (`table_generators`) by
     Light's test: (x s) y = x (s y) for all x, y and each s in S.  The
     elements a with (x a) y = x (a y) for all x, y hold 0 and are closed
-    under products, so they hold everything reached from 0 by S: the law
+    under products, so they hold every product of elements of S: the law
     holds for every triple.  Only when the test fails does `first_mismatch`
     scan every triple, to name the first failing one.
     """
@@ -189,7 +201,7 @@ def validate_table(table) -> np.ndarray:
         raise TableInvalid("table is not square", (0,))
     _check_range(t, n)
     if n == 0:
-        return t
+        return t, []
     ar = np.arange(n)
     bad = np.flatnonzero(t[0] != ar)
     if bad.size:
@@ -203,10 +215,11 @@ def validate_table(table) -> np.ndarray:
         i = int(bad[0])
         what = "row" if bad_rows[i] else "column"
         raise TableInvalid(f"{what} is not a permutation", (i,))
-    if not all(np.array_equal(t[t[:, s]], t[:, t[s]]) for s in table_generators(t)):
+    gens = table_generators(t)
+    if not all(np.array_equal(t[t[:, s]], t[:, t[s]]) for s in gens):
         raise TableInvalid("associativity fails",
                            first_mismatch(n, lambda rows: t[t[rows]], lambda rows: t[rows][:, t]))
-    return t
+    return t, gens
 
 
 @dataclass(frozen=True)

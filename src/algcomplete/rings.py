@@ -14,36 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import TableInvalid
-from .groups import FiniteGroup, first_mismatch, int_table, table_generators, validate_table
-
-
-def _first_law_failure(A: np.ndarray, M: np.ndarray) -> TableInvalid:
-    """The TableInvalid of the first ring law that fails, scanning every triple.
-
-    One law after the other, each over ROW_BLOCK rows of i at a time.
-    Called only once a check on generators has found a failing triple, so
-    one of the scans finds it.
-    """
-    n = len(A)
-    bad = first_mismatch(n, lambda rows: M[M[rows]], lambda rows: M[rows][:, M])
-    if bad is not None:
-        return TableInvalid("multiplication not associative", bad)
-    # left: i(j+k) = ij + ik; right: (i+j)k = ik + jk
-    left = first_mismatch(
-        n,
-        lambda rows: M[rows][:, A],
-        lambda rows: A[M[rows][:, :, None], M[rows][:, None, :]],
-    )
-    if left is not None:
-        return TableInvalid("left distributivity fails")
-    right = first_mismatch(
-        n,
-        lambda rows: M[A[rows]],  # (i+j)k
-        lambda rows: A[M[rows][:, None, :], M[None, :, :]],  # ik + jk
-    )
-    if right is not None:
-        return TableInvalid("right distributivity fails")
-    raise AssertionError("a ring law failed on generators but on no triple")
+from .groups import FiniteGroup, first_mismatch, int_table, validate_table_with_generators
 
 
 @dataclass(frozen=True)
@@ -62,17 +33,20 @@ class FiniteRing:
         and the multiplication table one of the same shape with entries in
         range, associative and distributive over the addition.
 
-        The three laws are proved on additive generators S
-        (`table_generators`).  Distributivity: each map x -> ix and
-        x -> xi that is additive on S is additive, since the y with
-        f(x + y) = f(x) + f(y) for all x hold 0 and are closed under +.
+        The three laws are proved on the additive generators S that
+        `validate_table_with_generators` returns.  Distributivity: each map
+        x -> ix and x -> xi that is additive on S is additive, since the y
+        with f(x + y) = f(x) + f(y) for all x hold 0 and are closed under +.
         Associativity, once both distributive laws hold: k -> (ij)k and
         k -> i(jk) are additive maps, so they are equal when they agree on
-        S.  Only when a check on S fails do the scans over every triple run,
-        in the order associativity, left, right distributivity, to name the
-        first failing law and triple.
+        S.  A failure is reported in the order associativity, left, right
+        distributivity.  Only when a check on S fails does `first_mismatch`
+        scan every triple for associativity, to name its first failing
+        triple.  If associativity holds, a distributive law fails (else the
+        check on S would have proved it), and the checks on S, each exact
+        for its law, say which; these reasons carry no witness.
         """
-        A = validate_table(add_table)
+        A, gens = validate_table_with_generators(add_table)
         n = len(A)
         if n == 0:
             raise TableInvalid("no identity element")
@@ -88,12 +62,14 @@ class FiniteRing:
             raise TableInvalid("addition is not commutative")
         if M.min() < 0 or M.max() >= n:
             raise TableInvalid("multiplication entry out of range")
-        gens = table_generators(A)
         # left: i(x+s) = ix + is; right: (x+s)k = xk + sk; then (ij)s = i(js)
-        if not (all(np.array_equal(M[:, A[s]], A[M, M[:, s, None]])
-                    and np.array_equal(M[A[s]], A[M, M[s]]) for s in gens)
-                and all(np.array_equal(M[:, s][M], M[:, M[:, s]]) for s in gens)):
-            raise _first_law_failure(A, M)
+        left = all(np.array_equal(M[:, A[s]], A[M, M[:, s, None]]) for s in gens)
+        right = all(np.array_equal(M[A[s]], A[M, M[s]]) for s in gens)
+        if not (left and right and all(np.array_equal(M[:, s][M], M[:, M[:, s]]) for s in gens)):
+            bad = first_mismatch(n, lambda rows: M[M[rows]], lambda rows: M[rows][:, M])
+            if bad is not None:
+                raise TableInvalid("multiplication not associative", bad)
+            raise TableInvalid("right distributivity fails" if left else "left distributivity fails")
         R = FiniteRing(tuple(map(tuple, A.tolist())), tuple(map(tuple, M.tolist())), name)
         R.__dict__["np_add"] = A
         R.__dict__["np_mul"] = M

@@ -30,7 +30,9 @@ from algcomplete.groups import (
     normal_subgroups,
     quotient,
     subgroup_closure,
+    table_generators,
     validate_table,
+    validate_table_with_generators,
 )
 from conftest import holomorph_generators
 
@@ -210,6 +212,19 @@ def test_validate_table_matches_the_triple_scan_on_every_latin_square(n, squares
     expected = [verdict(reference_validate_table, t) for t in normalized_latin_squares(n)]
     assert verdicts == expected
     assert (len(verdicts), verdicts.count(None)) == (squares, groups)
+
+
+@pytest.mark.parametrize("G, gens", [
+    (cyclic(1), []),
+    (cyclic(512), [1]),
+    (direct_product(direct_product(cyclic(2), cyclic(2))[0], cyclic(2))[0], [1, 2, 4]),
+    (symmetric(3), [1, 2]),
+])
+def test_table_generators_is_greedy_and_generates(G, gens):
+    """The smallest element not yet generated joins S; S generates G."""
+    assert table_generators(G.np_table) == gens
+    assert validate_table_with_generators(G.table)[1] == gens
+    assert len(subgroup_closure(G, gens)) == G.order
 
 
 def test_validate_table_returns_the_checked_array(S3):
