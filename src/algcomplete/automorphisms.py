@@ -94,6 +94,23 @@ class AutomorphismGroup:
     def index_of_perm(self, p) -> int:
         return self._index[tuple(p[g] for g in self.base.generators)]
 
+    @cached_property
+    def _inverse_fingerprints(self) -> np.ndarray:
+        """Entry (f, j) is f^-1 of the base's generator j."""
+        n, size = self.perms.shape
+        inverses = np.empty_like(self.perms)
+        inverses[np.arange(n)[:, None], self.perms] = np.arange(size, dtype=self.perms.dtype)
+        return inverses[:, list(self.base.generators)]
+
+    def conjugates(self, i: int) -> list[int]:
+        """The index of f . p_i . f^-1 for every automorphism f, in row order.
+
+        f p_i f^-1 sends generator g to f(p_i(f^-1(g))), so the fingerprints
+        of all of them are one gather on `perms`.
+        """
+        images = np.take_along_axis(self.perms, self.perms[i][self._inverse_fingerprints], axis=1)
+        return list(map(self._index.__getitem__, map(tuple, images.tolist())))
+
     def mul(self, i: int, j: int) -> int:
         pi, pj = self.elems[i], self.elems[j]
         return self._index[tuple(pi[pj[g]] for g in self.base.generators)]

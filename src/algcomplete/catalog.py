@@ -25,7 +25,7 @@ from .groups import (
 )
 from .automorphisms import automorphism_group
 from .commutators import center
-from .extensions import GroupAction, iter_actions, semidirect_product
+from .extensions import GroupAction, iter_action_orbits, semidirect_product
 
 
 def _check_order(name: str, factors: Sequence[int]) -> None:
@@ -120,11 +120,14 @@ def build_catalog(max_order: int = 24) -> tuple[FiniteGroup, ...]:
     """All groups of order <= max_order up to isomorphism, deterministically.
 
     Seeds: cyclic Z1..Z_max and dicyclic Dic_n (the non-split members).
-    Closure: semidirect products X : B over every action, while the product
-    order fits.  Each round builds only the pairs with X or B found in the
-    round before, since every other pair was built in an earlier round.  The
-    result is sorted by (order, discovery index).  Every call builds the
-    catalog afresh; a caller that needs it twice keeps it.
+    Closure: semidirect products X : B, while the product order fits, over
+    one action per Aut(X)-conjugacy class (`iter_action_orbits`): conjugate
+    actions give isomorphic groups, and the least action of a class is the
+    first of it in canonical order, so the pool and its order are the same
+    as over every action.  Each round builds only the pairs with X or B
+    found in the round before, since every other pair was built in an
+    earlier round.  The result is sorted by (order, discovery index).  Every
+    call builds the catalog afresh; a caller that needs it twice keeps it.
     """
     pool: list[FiniteGroup] = []
     buckets: dict = {}  # cheap invariants -> the pool's groups that have them
@@ -156,7 +159,7 @@ def build_catalog(max_order: int = 24) -> tuple[FiniteGroup, ...]:
                     continue
                 if X not in new and B not in new:
                     continue
-                for a in iter_actions(B, X):
+                for a in iter_action_orbits(B, X):
                     A = semidirect_product(a).A
                     if add(A):
                         fresh.append(A)

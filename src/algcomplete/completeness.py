@@ -18,6 +18,7 @@ from .errors import (
     NotCharacteristicallySimple,
     NotProtoComplete,
     TableInvalid,
+    check_theorem,
 )
 from .groups import (
     DEFAULT_ELEMENT_CAP,
@@ -41,7 +42,7 @@ from .automorphisms import (
 from .extensions import (
     GroupAction,
     enumerate_normal_embeddings,
-    iter_actions,
+    iter_action_orbits,
     semidirect_columns,
     semidirect_product,
 )
@@ -85,8 +86,9 @@ def classify_completeness(
     s: Aut(G) -> G satisfies c.s = id; when Out is nontrivial no
     automorphism carrier is ever materialized.  The strong verdict is
     computed both as "c bijective" and as "trivial center and trivial Out"
-    and the two are cross-asserted.
+    and the two are cross-checked.
     """
+    name = G.name or f"group-of-order-{G.order}"
     aut = automorphism_group(G)
     z = center(G)
     inn_order = G.order // z.order
@@ -109,10 +111,10 @@ def classify_completeness(
     strong = z.order == 1 and out_order == 1
     if strong:
         c = GroupHom(G, carrier, cidx)
-        assert c.is_bijective, "trivial center and Out must make c an isomorphism"
-        assert proto, "an isomorphism c is in particular a split epi"
+        check_theorem(c.is_bijective, name, "trivial center and trivial Out make c an isomorphism")
+        check_theorem(proto, name, "an isomorphism c is a split epi")
     return ClassificationReport(
-        name=G.name or f"group-of-order-{G.order}",
+        name=name,
         order=G.order,
         center_order=z.order,
         aut_order=aut.order,
@@ -145,12 +147,18 @@ def split_extension_oracles(
 ) -> tuple[OracleVerdict, OracleVerdict]:
     """The proto and strong oracle verdicts from one pass over the split extensions.
 
-    Every split extension G -> A -> B with B in the universe (|B| <= bound)
-    is visited once, in canonical order, and searched for up to two
-    retractions of its kernel while the strong verdict stands, for one after
-    that.  The first extension without a retraction refutes both verdicts
-    (the strong one unless a non-unique retraction refuted it earlier) and
-    ends the pass.  One budget covers every retraction search.
+    The split extensions G -> A -> B with B in the universe (|B| <= bound)
+    are visited one per Aut(G)-conjugacy class of actions, the least action
+    of each class in canonical order (`iter_action_orbits`): conjugate
+    actions give extensions isomorphic over the kernel, so whether a
+    retraction exists and whether it is unique is the same on a class, and
+    the first failing action is the least of its class.  Each visited
+    extension is searched for up to two retractions of its kernel while the
+    strong verdict stands, for one after that.  The first extension without
+    a retraction refutes both verdicts (the strong one unless a non-unique
+    retraction refuted it earlier) and ends the pass.  One budget covers
+    every retraction search, so nodes are spent on class representatives
+    only.
 
     A retraction is determined by its values on kappa(gens of G) and
     beta(gens of B), so the search reads only A's right multiplication by
@@ -166,7 +174,7 @@ def split_extension_oracles(
     for B in universe:
         if B.order > bound:
             continue
-        for a in iter_actions(B, G):
+        for a in iter_action_orbits(B, G):
             found = find_constrained_hom(semidirect_columns(a, kernel_levels), G, allowed=fixed,
                                          budget=b, limit=1 if strong is not None else 2)
             if not found:
@@ -197,7 +205,8 @@ def oracle_completeness(
     proto: every split extension with kernel G and cokernel in the universe
     (|B| <= bound) admits a retraction of its kernel.  strong: the
     retraction is additionally unique.  Both come from one
-    `split_extension_oracles` pass, so a proto call also runs the
+    `split_extension_oracles` pass, which searches one extension per
+    Aut(G)-conjugacy class of actions, so a proto call also runs the
     uniqueness search.  complete: every normal embedding of G into a
     universe member with |Y| <= bound*|G| splits.  The witness, if any, is
     the first failure in canonical enumeration order.
@@ -228,7 +237,7 @@ def decompose_proto_complete(G: FiniteGroup) -> tuple[Subgroup, FiniteGroup, Gro
     """Split a proto-complete G as center times a strong-complete quotient.
 
     The isomorphism is g -> (g * s(q(g))^-1, q(g)) for a section s of the
-    central quotient q; both factors' expected verdicts are asserted.  s is
+    central quotient q; both factors' expected verdicts are checked.  s is
     the classification's section of c read through G/Z = Inn(G), s(q(g)) =
     section(c(g)), so no search runs besides the two classifications.
     """
@@ -242,7 +251,8 @@ def decompose_proto_complete(G: FiniteGroup) -> tuple[Subgroup, FiniteGroup, Gro
     for g in range(G.order):
         s_img[proj(g)] = rep.proto_section[cidx[g]]
     s = GroupHom.create(Q, G, s_img)
-    assert all(proj(s(q)) == q for q in range(Q.order))
+    check_theorem(all(proj(s(q)) == q for q in range(Q.order)), rep.name,
+                  "c's section read through G/Z(G) is a section of the central quotient")
     Zg, _ = Z.as_group()
     P, _, _ = direct_product(Zg, Q)
     local = {e: i for i, e in enumerate(Z.elements)}
@@ -250,12 +260,12 @@ def decompose_proto_complete(G: FiniteGroup) -> tuple[Subgroup, FiniteGroup, Gro
         local[G.mul(g, G.inv(s(proj(g))))] * Q.order + proj(g) for g in range(G.order)
     )
     iso = GroupHom.create(G, P, img)
-    assert iso.is_bijective
-    q_rep = classify_completeness(Q)
-    assert q_rep.strong_complete, "quotient by the center must be strong-complete"
-    assert automorphism_group(Zg).order == 1 or Zg.order == 1, (
-        "center factor must be proto-complete (trivial automorphisms)"
-    )
+    check_theorem(iso.is_bijective, rep.name,
+                  "a proto-complete G is its center times G/Z(G)")
+    check_theorem(classify_completeness(Q).strong_complete, f"{rep.name}/Z",
+                  "G/Z(G) of a proto-complete G is strong-complete")
+    check_theorem(automorphism_group(Zg).order == 1, f"Z({rep.name})",
+                  "the center of a proto-complete G is proto-complete, so Aut(Z) is trivial")
     return Z, Q, iso
 
 
@@ -356,8 +366,9 @@ def char_simple_audit(G: FiniteGroup, budget: Optional[int] = None) -> CharSimpl
     `budget` limits the section search of Aut(G)'s classification; the
     automorphism search has its own fixed limit.
     """
+    name = G.name or f"order-{G.order}"
     if G.is_abelian:
-        raise AbelianInput(G.name or f"order-{G.order}")
+        raise AbelianInput(name)
     aut = automorphism_group(G)
     # characteristic subgroups are normal
     for S in normal_subgroups(G):
@@ -367,5 +378,6 @@ def char_simple_audit(G: FiniteGroup, budget: Optional[int] = None) -> CharSimpl
             raise NotCharacteristicallySimple(S.elements)
     carrier = aut.carrier
     rep = classify_completeness(carrier, budget=budget)
-    assert rep.strong_complete, "Aut of a characteristically simple group must be strong-complete"
-    return CharSimpleReport(G.name or f"order-{G.order}", aut.order, rep.strong_complete)
+    check_theorem(rep.strong_complete, f"Aut({name})",
+                  "Aut of a characteristically simple nonabelian group is strong-complete")
+    return CharSimpleReport(name, aut.order, rep.strong_complete)

@@ -71,3 +71,20 @@ class AbelianInput(AlgebraError):
 
 class ConfigInvalid(AlgebraError):
     """CLI/report configuration is malformed."""
+
+
+class TheoremCheckFailed(AlgebraError):
+    """A computed object contradicts a theorem that the engine checks as it runs.
+
+    These checks are not `assert`s, so they also run under `python -O`.  The
+    message names the object and the theorem.
+    """
+
+    def __init__(self, obj: str, theorem: str):
+        super().__init__(f"theorem check failed for {obj}: {theorem}")
+
+
+def check_theorem(holds: bool, obj: str, theorem: str) -> None:
+    """Raise TheoremCheckFailed(obj, theorem) unless `holds`."""
+    if not holds:
+        raise TheoremCheckFailed(obj, theorem)

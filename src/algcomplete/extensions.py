@@ -7,7 +7,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import SearchBudgetExceeded, SizeCap, TableInvalid
+from .errors import SearchBudgetExceeded, SizeCap, TableInvalid, check_theorem
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     DEFAULT_SEARCH_BUDGET,
@@ -58,15 +58,14 @@ class GroupAction:
             raise TableInvalid("action index out of range", (bad[0],))
         if idx[0] != 0:
             raise TableInvalid("action must send identity to identity")
-        elems, binv = self.aut.elems, B.inverses
-        q = np.asarray([elems[idx[binv[b]]] for b in range(B.order)], dtype=np.int64)
+        q = self.aut.perms[[idx[b] for b in B.inverses]]
         for g in B.generators:
             if not np.array_equal(q[B.np_table[g]], q[:, q[g]]):
                 raise TableInvalid("action is not a hom", (g,))
         return q
 
     def apply(self, b: int, x: int) -> int:
-        return self.aut.elems[self.indices[b]][x]
+        return int(self.aut.perms[self.indices[b], x])
 
     @property
     def is_trivial(self) -> bool:
@@ -83,6 +82,30 @@ def iter_actions(B: FiniteGroup, X: FiniteGroup) -> Iterator[GroupAction]:
     b = _Budget(DEFAULT_SEARCH_BUDGET, "action enumeration")
     for img in iter_hom_images(B, aut, budget=b):
         yield GroupAction(B, aut, img)
+
+
+def iter_action_orbits(B: FiniteGroup, X: FiniteGroup) -> Iterator[GroupAction]:
+    """The least action of each Aut(X)-conjugacy class, lazily, in `iter_actions` order.
+
+    f in Aut(X) sends an action a to a'(b) = f a(b) f^-1, and phi(b, x) =
+    (b, f(x)) is an isomorphism of the two semidirect products with phi
+    kappa = kappa f, so r -> f^-1 r phi is a bijection of the retractions of
+    their kernels.  Whether a retraction exists, whether it is unique, and
+    the middle group up to isomorphism are therefore the same on a class.
+    `iter_actions` yields in lex order on the images of B's generators, so
+    the first member of a class it meets is the least: each yielded action
+    puts the generator images of its whole class into a seen set, and every
+    action in that set is skipped.
+    """
+    aut = automorphism_group(X)
+    gens = B.generators
+    seen: set = set()
+    for a in iter_actions(B, X):
+        key = tuple(a.indices[g] for g in gens)
+        if key in seen:
+            continue
+        seen.update(zip(*(aut.conjugates(i) for i in key)))
+        yield a
 
 
 @dataclass(frozen=True)
@@ -206,7 +229,7 @@ def holonomy(G: FiniteGroup) -> SplitExtension:
 
     Built from the tautological action; the evaluation map p2(a, x) = a.c(x)
     into Aut(G) is verified to be a homomorphism restricting to the
-    conjugation morphism along kappa.
+    conjugation morphism along kappa; a failure raises TheoremCheckFailed.
     """
     aut = automorphism_group(G)
     if aut.order > DEFAULT_ELEMENT_CAP:
@@ -220,7 +243,9 @@ def holonomy(G: FiniteGroup) -> SplitExtension:
     p2 = GroupHom.create(
         e.A, carrier, tuple(aut.mul(i // m, cidx[i % m]) for i in range(e.A.order))
     )
-    assert all(p2(e.kappa(x)) == cidx[x] for x in range(m)), "evaluation must restrict to c"
+    check_theorem(all(p2(e.kappa(x)) == cidx[x] for x in range(m)),
+                  e.A.name or f"order-{e.A.order}",
+                  "the evaluation map of the holonomy restricts to c along kappa")
     return e
 
 
@@ -258,10 +283,11 @@ def classify_into_generic(e: SplitExtension) -> tuple[GroupHom, GroupHom]:
         x = local[A.mul(A.inv(e.beta(b)), a)]
         u_img.append(act.indices[b] * m + x)
     u = GroupHom.create(A, hol.A, tuple(u_img))
-    # morphism-of-extensions equations
-    assert all(u(e.kappa(x)) == hol.kappa(x) for x in range(m))
-    assert all(hol.alpha(u(a)) == v(e.alpha(a)) for a in range(A.order))
-    assert all(u(e.beta(b)) == hol.beta(v(b)) for b in range(B.order))
+    label = f"{X.name or f'order-{m}'} -> A -> {B.name or f'order-{B.order}'}"
+    check_theorem(all(u(e.kappa(x)) == hol.kappa(x) for x in range(m))
+                  and all(hol.alpha(u(a)) == v(e.alpha(a)) for a in range(A.order))
+                  and all(u(e.beta(b)) == hol.beta(v(b)) for b in range(B.order)),
+                  label, "(u, v) is a morphism into the generic split extension")
     count = 0
     gens = [e.kappa(x) for x in X.generators] + [e.beta(b) for b in B.generators]
     forced = {e.kappa(x): [hol.kappa(x)] for x in range(m)}
@@ -273,7 +299,8 @@ def classify_into_generic(e: SplitExtension) -> tuple[GroupHom, GroupHom]:
             up(e.beta(bb)) == hol.beta(vp[bb]) for bb in range(B.order)
         ):
             count += 1
-    assert count == 1, f"expected a unique classifying morphism, found {count}"
+    check_theorem(count == 1, label,
+                  f"the generic split extension is terminal (found {count} classifying morphisms)")
     return u, v
 
 
@@ -340,5 +367,6 @@ def product_form_isomorphism(e: SplitExtension, retraction: GroupHom) -> GroupHo
     m = e.X.order
     img = tuple(e.alpha(a) * m + retraction(a) for a in range(e.A.order))
     iso = GroupHom.create(e.A, P, img)
-    assert iso.is_bijective, "product form requires a bijection"
+    check_theorem(iso.is_bijective, e.A.name or f"order-{e.A.order}",
+                  "a retraction of the kernel makes <alpha, lambda> an isomorphism onto B x X")
     return iso

@@ -220,6 +220,28 @@ def test_invalid_action_is_rejected_under_python_O(tmp_path):
     assert proc.stdout == ""
 
 
+def test_failed_theorem_check_exits_2_under_python_O(tmp_path):
+    """A theorem check is not an assert: under -O a c that is not bijective still stops the run."""
+    path = write_catalog(tmp_path, [{"name": "S3", "symmetric": 3}])
+    code = (
+        "import sys\n"
+        "from algcomplete import completeness, groups\n"
+        "from algcomplete.cli import run_report\n"
+        "class NotBijective(groups.GroupHom):\n"
+        "    is_bijective = False\n"
+        "completeness.GroupHom = NotBijective\n"
+        "sys.exit(run_report(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, "--catalog", path, "--mode", "classify"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: S3: theorem check failed for S3: "
+                           "trivial center and trivial Out make c an isomorphism\n")
+    assert proc.stdout == ""
+
+
 def report_rows(tmp_path, catalog, *flags):
     """The exit code and the rows of a report on `catalog`."""
     out = tmp_path / "r.json"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,13 +14,14 @@ from algcomplete.errors import (
     SearchBudgetExceeded,
     SizeCap,
 )
-from algcomplete.extensions import iter_actions, semidirect_product
+from algcomplete.extensions import iter_action_orbits, iter_actions, semidirect_product
 from algcomplete.groups import (
     DEFAULT_SEARCH_BUDGET,
     FiniteGroup,
     _Budget,
     direct_product,
     find_constrained_hom,
+    group_from_permutations,
     is_isomorphic,
     normal_subgroups,
     validate_table,
@@ -33,7 +36,7 @@ from algcomplete.completeness import (
     oracle_completeness,
     split_extension_oracles,
 )
-from conftest import relabel
+from conftest import holomorph_generators, relabel
 
 
 def small_universe():
@@ -132,20 +135,20 @@ def per_mode_oracle(G, mode, bound, universe):
     return True, None, None
 
 
-def table_oracles(G, bound, universe):
+def table_oracles(G, bound, universe, actions=iter_actions):
     """Reference: the fused split-extension pass over full Cayley tables.
 
-    Every extension is built by `semidirect_product` (all of
-    `SplitExtension.create`'s checks) and searched on its table.  Returns
-    the proto and strong (flag, witness, middle table or None) and the
-    number of search nodes spent.
+    Every extension of an action that `actions` yields is built by
+    `semidirect_product` (all of `SplitExtension.create`'s checks) and
+    searched on its table.  Returns the proto and strong (flag, witness,
+    middle table or None) and the number of search nodes spent.
     """
     b = _Budget(DEFAULT_SEARCH_BUDGET, "reference oracle")
     strong = None
     for B in universe:
         if B.order > bound:
             continue
-        for a in iter_actions(B, G):
+        for a in actions(B, G):
             e = semidirect_product(a)
             found = _kernel_retractions(e, b, limit=1 if strong is not None else 2)
             if not found:
@@ -179,8 +182,16 @@ def _middle_table(v):
 
 
 def assert_matches_table_reference(monkeypatch, G, bound, universe):
+    """Flags, witnesses and middle tables as over every action; nodes as over the orbits.
+
+    The pass searches one action per Aut(G)-class, so its nodes are those
+    of the table reference walking the same representatives, which must
+    itself reach the verdicts of the walk over every action.
+    """
     pair, spent = column_oracles(monkeypatch, G, bound, universe)
-    *expected, expected_spent = table_oracles(G, bound, universe)
+    *expected, _ = table_oracles(G, bound, universe)
+    *on_orbits, expected_spent = table_oracles(G, bound, universe, iter_action_orbits)
+    assert on_orbits == expected, G.name
     for mode, v, (flag, witness, middle) in zip(("proto", "strong"), pair, expected):
         assert (v.mode, v.bound, v.universe_id) == (mode, bound, "builtin")
         assert (v.flag, v.witness) == (flag, witness), (G.name, mode)
@@ -189,7 +200,8 @@ def assert_matches_table_reference(monkeypatch, G, bound, universe):
 
 
 def test_column_pass_matches_table_reference(monkeypatch, catalog):
-    """Flag, witness, middle table and nodes spent, at bound 2|G|; S4 at bound 7 below."""
+    """Flag, witness, middle table and nodes spent, at bound 2|G|; S4 at bound 7 below
+    and at bound 48 against the column pass over every action."""
     for G in catalog:
         if G.name != "G24.14":
             assert_matches_table_reference(monkeypatch, G, 2 * G.order, catalog)
@@ -203,7 +215,7 @@ def test_column_pass_matches_table_reference_on_s4(monkeypatch, catalog):
 
 def test_column_pass_spends_its_budget_to_the_node(S3):
     uni = small_universe()
-    *_, spent = table_oracles(S3, 6, uni)
+    *_, spent = table_oracles(S3, 6, uni, iter_action_orbits)
     assert split_extension_oracles(S3, 6, uni, "small", budget=spent)[0].flag
     with pytest.raises(SearchBudgetExceeded, match="^split-extension oracles: "):
         split_extension_oracles(S3, 6, uni, "small", budget=spent - 1)
@@ -219,6 +231,22 @@ def test_relabelling_keeps_oracle_flags_and_witness_cokernels(catalog, data, rnd
     for v, w in zip(expected, got):
         assert w.flag == v.flag
         assert (w.witness or {}).get("cokernel") == (v.witness or {}).get("cokernel")
+
+
+@pytest.mark.parametrize("name, failures", [
+    ("S4", (None, None)),
+    ("F20", (None, None)),
+    ("D4", ("no retraction", "retraction not unique")),
+])
+def test_relabelling_keeps_the_orbit_pass_verdicts(catalog, name, failures):
+    """Relabelling reorders Aut(G), so other actions lead their classes; verdicts stay."""
+    G = {"S4": symmetric(4), "D4": dihedral(4),
+         "F20": group_from_permutations(5, holomorph_generators(5), name="F20")}[name]
+    H = relabel(G, random.Random(name))
+    for K in (G, H):
+        pair = split_extension_oracles(K, 2 * G.order, catalog, "builtin")
+        assert tuple(v.flag for v in pair) == tuple(f is None for f in failures)
+        assert tuple((v.witness or {}).get("failure") for v in pair) == failures
 
 
 def test_fused_oracles_match_per_mode_reference(catalog):
@@ -253,19 +281,26 @@ def test_pass_refutes_z4_past_the_element_cap(Z4):
 
 
 def test_s4_pass_visits_the_whole_catalog_at_bound_48(monkeypatch, catalog):
-    """18 of the 74 cokernels give middle groups of 528 to 576 elements."""
+    """18 of the 74 cokernels give middle groups of 528 to 576 elements.
+
+    The same pass over every action, not one per Aut(S4)-class, is the
+    reference for the verdicts.
+    """
     S4 = next(G for G in catalog if G.name == "G24.14")
     seen = []
 
     def recording(B, X):
         seen.append(B)
-        return iter_actions(B, X)
+        return iter_action_orbits(B, X)
 
-    monkeypatch.setattr(completeness, "iter_actions", recording)
-    proto, strong = split_extension_oracles(S4, 48, catalog, "builtin")
+    with monkeypatch.context() as m:
+        m.setattr(completeness, "iter_action_orbits", recording)
+        proto, strong = split_extension_oracles(S4, 48, catalog, "builtin")
     assert len(seen) == len(catalog) == 74
     assert [B.name for B in seen] == [B.name for B in catalog]
     assert proto.flag and strong.flag
+    monkeypatch.setattr(completeness, "iter_action_orbits", iter_actions)
+    assert split_extension_oracles(S4, 48, catalog, "builtin") == (proto, strong)
 
 
 def test_pass_builds_no_group(monkeypatch, Z4):

@@ -14,6 +14,7 @@ from algcomplete.extensions import (
     enumerate_normal_embeddings,
     enumerate_split_extensions,
     holonomy,
+    iter_action_orbits,
     iter_actions,
     product_form_isomorphism,
     semidirect_columns,
@@ -247,3 +248,72 @@ def test_action_check_matches_the_pairwise_law(pair, start_valid, rnd):
     else:
         with pytest.raises(TableInvalid):
             semidirect_product(a)
+
+
+def _z2_4():
+    V4 = dihedral(2)
+    return direct_product(V4, V4, name="Z2^4")[0]  # |Aut| = 20,160, above the carrier cap
+
+
+def _conjugate_by_hand(aut, f, i):
+    """The index of f . p_i . f^-1, composed in Python."""
+    p = aut.perms[i].tolist()
+    f_inv = [0] * len(f)
+    for x, y in enumerate(f):
+        f_inv[y] = x
+    return aut.index_of_perm([f[p[f_inv[x]]] for x in range(len(f))])
+
+
+def _class_by_hand(a):
+    """The generator images of f a f^-1 for every f in Aut(X)."""
+    aut = a.aut
+    return {tuple(_conjugate_by_hand(aut, f, a.indices[g]) for g in a.B.generators)
+            for f in aut.perms.tolist()}
+
+
+@pytest.mark.parametrize("X", [symmetric(3), dicyclic(2), _z2_4()], ids=["S3", "Q8", "Z2^4"])
+def test_conjugates_match_composition(X):
+    aut = automorphism_group(X)
+    for i in sorted({0, 1, aut.order // 2, aut.order - 1}):
+        expected = [_conjugate_by_hand(aut, f, i) for f in aut.perms.tolist()]
+        assert aut.conjugates(i) == expected
+
+
+def assert_orbit_representatives(B, X):
+    """The yielded actions are the least of their classes, one per class, in iter_actions order."""
+    gens = B.generators
+    every = [a.indices for a in iter_actions(B, X)]
+    reps = list(iter_action_orbits(B, X))
+    assert [a.indices for a in reps] == [i for i in every if i in {a.indices for a in reps}]
+    classes = [_class_by_hand(a) for a in reps]
+    for a, cls in zip(reps, classes):
+        assert tuple(a.indices[g] for g in gens) == min(cls)
+    union = set().union(*classes)
+    assert sum(map(len, classes)) == len(union)  # no two yielded actions are conjugate
+    assert union == {tuple(i[g] for g in gens) for i in every}
+    return len(reps), len(every)
+
+
+@pytest.mark.parametrize("B, X, counts", [
+    (cyclic(2), symmetric(3), (2, 4)),
+    (cyclic(6), symmetric(3), (3, 6)),
+    (symmetric(3), symmetric(3), (3, 10)),
+    (dihedral(2), symmetric(3), (4, 10)),
+    (cyclic(2), dihedral(4), (4, 6)),
+    (dihedral(2), dihedral(4), (16, 28)),
+    (cyclic(4), dihedral(4), (5, 8)),
+    (cyclic(2), dicyclic(2), (3, 10)),
+    (cyclic(3), dicyclic(2), (2, 9)),
+    (dihedral(2), dicyclic(2), (11, 52)),
+    (cyclic(2), _z2_4(), (3, 316)),
+    (cyclic(3), _z2_4(), (3, 1233)),
+], ids=["Z2/S3", "Z6/S3", "S3/S3", "V4/S3", "Z2/D4", "V4/D4", "Z4/D4",
+        "Z2/Q8", "Z3/Q8", "V4/Q8", "Z2/Z2^4", "Z3/Z2^4"])
+def test_action_orbits_cover_every_action(B, X, counts):
+    assert assert_orbit_representatives(B, X) == counts
+
+
+def test_action_orbits_of_s4_cover_every_action_over_the_catalog(catalog):
+    S4 = next(G for G in catalog if G.name == "G24.14")
+    reps, every = zip(*(assert_orbit_representatives(B, S4) for B in catalog))
+    assert (sum(reps), sum(every)) == (937, 5340)
