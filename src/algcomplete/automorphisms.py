@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 from typing import Optional
 
 import numpy as np
 
-from .errors import NotNormal, SizeCap, TableInvalid
+from .errors import NotNormal, SizeCap, TableInvalid, check_theorem
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     DEFAULT_SEARCH_BUDGET,
@@ -24,35 +23,22 @@ from .groups import (
 from .commutators import centralizer, find_retraction
 
 
-def _perm_order(p) -> int:
-    n = len(p)
-    seen = [False] * n
-    out = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        ln, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            ln += 1
-        out = lcm(out, ln)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class AutomorphismGroup:
     """Aut(base) as one read-only (|Aut| x |base|) integer array of permutations.
 
-    Row i of `perms` is automorphism i as the images of base's elements.
-    Composition is (f.g)(x) = f(g(x)); the rows are sorted lexicographically,
-    which pins the identity at index 0.  Two automorphism groups are equal
-    when they have the same base and the same rows.  The Cayley table
-    (`carrier`) is only materialized on demand because it is quadratic in the
-    (possibly large) automorphism count; all searches can run against the
-    group-ops interface (order/mul/element_order) implemented directly on the
-    permutations.  `perms` stays read-only: a caller's array that it can
-    still write to is copied, and an unpickled one is locked again.
+    Row i of `perms` is automorphism i as the images of base's elements, and
+    `perms` is the only form of the automorphisms: every operation is a
+    gather on it.  Composition is (f.g)(x) = f(g(x)); the rows are sorted
+    lexicographically, which pins the identity at index 0.  An automorphism
+    is known by its fingerprint, its images of the base's generators, and
+    `_index` maps fingerprints back to row indices.  Two automorphism groups
+    are equal when they have the same base and the same rows.  The Cayley
+    table (`carrier`) is only materialized on demand because it is quadratic
+    in the (possibly large) automorphism count; all searches can run against
+    the group-ops interface (order/mul/element_order).  `perms` stays
+    read-only: a caller's array that it can still write to is copied, and an
+    unpickled one is locked again.
     """
 
     base: FiniteGroup
@@ -81,15 +67,19 @@ class AutomorphismGroup:
         return len(self.perms)
 
     @cached_property
-    def elems(self) -> tuple[tuple[int, ...], ...]:
-        """The rows of `perms` as tuples, for readers that take one automorphism at a time."""
-        return tuple(map(tuple, self.perms.tolist()))
+    def _fingerprints(self) -> np.ndarray:
+        """Row i holds automorphism i's images of the base's generators."""
+        return self.perms[:, list(self.base.generators)]
+
+    @cached_property
+    def _keys(self) -> list[tuple[int, ...]]:
+        """Row i's fingerprint as a tuple of ints."""
+        return list(map(tuple, self._fingerprints.tolist()))
 
     @cached_property
     def _index(self) -> dict:
-        """Each element's index by its fingerprint, its images of the base's generators."""
-        fingerprints = self.perms[:, list(self.base.generators)].tolist()
-        return {tuple(f): i for i, f in enumerate(fingerprints)}
+        """Each element's index by its fingerprint."""
+        return {f: i for i, f in enumerate(self._keys)}
 
     def index_of_perm(self, p) -> int:
         return self._index[tuple(p[g] for g in self.base.generators)]
@@ -112,19 +102,25 @@ class AutomorphismGroup:
         return list(map(self._index.__getitem__, map(tuple, images.tolist())))
 
     def mul(self, i: int, j: int) -> int:
-        pi, pj = self.elems[i], self.elems[j]
-        return self._index[tuple(pi[pj[g]] for g in self.base.generators)]
-
-    def inv(self, i: int) -> int:
-        p = self.elems[i]
-        q = [0] * len(p)
-        for a, b in enumerate(p):
-            q[b] = a
-        return self.index_of_perm(q)
+        """The index of p_i . p_j: row i of `perms` read at p_j's fingerprint."""
+        item = self.perms.item
+        return self._index[tuple([item(i, x) for x in self._keys[j]])]
 
     @cached_property
     def _orders(self) -> tuple[int, ...]:
-        return tuple(_perm_order(p) for p in self.elems)
+        """Every element's order, from the powers of all fingerprints at once.
+
+        Power k of every row is one gather of `perms` at power k-1's
+        fingerprints; a row's order is the first k whose fingerprint is the
+        generators', since an automorphism fixing them is the identity.
+        """
+        gens = np.array(self.base.generators)
+        orders = np.zeros(self.order, dtype=np.int64)
+        cur, k = self._fingerprints, 1
+        while not orders.all():
+            orders[(orders == 0) & (cur == gens).all(axis=1)] = k
+            cur, k = np.take_along_axis(self.perms, cur, axis=1), k + 1
+        return tuple(orders.tolist())
 
     def element_order(self, i: int) -> int:
         return self._orders[i]
@@ -144,8 +140,7 @@ class AutomorphismGroup:
         if n > DEFAULT_ELEMENT_CAP:
             raise SizeCap(f"automorphism group order {n} exceeds cap {DEFAULT_ELEMENT_CAP}")
         size = self.base.order
-        perms = self.perms
-        fingerprints = perms[:, list(self.base.generators)]
+        perms, fingerprints = self.perms, self._fingerprints
         composed = perms[:, fingerprints]  # composed[i, j] = f_i(fingerprint of f_j)
         known = np.zeros(n, dtype=np.intp)  # label of each element's prefix
         labels = np.zeros((n, n), dtype=np.intp)  # label of each product's prefix
@@ -260,7 +255,7 @@ def conjugation_morphism(G: FiniteGroup) -> GroupHom:
 
 
 def conjugation_indices(G: FiniteGroup) -> tuple[int, ...]:
-    """Images of c_G as indices into automorphism_group(G).elems, without touching the carrier.
+    """Images of c_G as indices into the rows of automorphism_group(G).perms, without the carrier.
 
     Only the fingerprint of each inner automorphism is computed: for each g,
     g x g^-1 for the generators x of G, one dict lookup per g.
@@ -289,9 +284,14 @@ def outer_quotient(G: FiniteGroup):
 
 def is_characteristic(S: Subgroup) -> bool:
     """alpha(S) = S for every automorphism alpha of S's parent."""
-    eset = S._element_set
-    return all(all(p[s] in eset for s in S.elements)
-               for p in automorphism_group(S.parent).elems)
+    return bool(_preserves(automorphism_group(S.parent), S).all())
+
+
+def _preserves(aut: AutomorphismGroup, S: Subgroup) -> np.ndarray:
+    """Whether each automorphism maps S into itself, from one gather of `perms`."""
+    mask = np.zeros(S.parent.order, dtype=bool)
+    mask[list(S.elements)] = True
+    return mask[aut.perms[:, list(S.elements)]].all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -306,8 +306,8 @@ def subgroup_verdict(S: Subgroup) -> SubgroupVerdict:
     normal = S.is_normal()
     char = is_characteristic(S)
     retr = find_retraction(S)
-    if char and not normal:
-        raise AssertionError("characteristic subgroup must be normal")
+    check_theorem(normal or not char, S.parent.name or f"order-{S.parent.order}",
+                  "a characteristic subgroup is normal")
     return SubgroupVerdict(normal, char, retr)
 
 
@@ -337,7 +337,7 @@ def relative_classifier(S: Subgroup) -> RelativeClassifier:
     """The classifier of the normal inclusion of S in its parent G, with its two projections.
 
     The carrier consists of the pairs (theta, phi) with phi restricting to
-    theta on S; q2 is injective by construction, and q1 is asserted
+    theta on S; q2 is injective by construction, and q1 is checked to be
     injective whenever the centralizer of S in G is trivial.
     """
     if not S.is_normal():
@@ -346,15 +346,11 @@ def relative_classifier(S: Subgroup) -> RelativeClassifier:
     Sg, incl = S.as_group()
     autS = automorphism_group(Sg)
     autX = automorphism_group(G)
-    local = {e: i for i, e in enumerate(S.elements)}
-    eset = S._element_set
-    pairs = []
-    for j, phi in enumerate(autX.elems):
-        if any(phi[e] not in eset for e in S.elements):
-            continue
-        theta = tuple(local[phi[e]] for e in S.elements)
-        i = autS.index_of_perm(theta)
-        pairs.append((i, j))
+    local = np.zeros(G.order, dtype=np.intp)
+    local[list(S.elements)] = np.arange(S.order)
+    rows = np.flatnonzero(_preserves(autX, S))
+    thetas = local[autX.perms[np.ix_(rows, S.elements)]].tolist()
+    pairs = [(autS.index_of_perm(theta), j) for theta, j in zip(thetas, rows.tolist())]
     pairs.sort()
     index = {pr: k for k, pr in enumerate(pairs)}
     table = tuple(
@@ -364,7 +360,7 @@ def relative_classifier(S: Subgroup) -> RelativeClassifier:
     carrier = FiniteGroup(table, name=f"[{Sg.name or 'S'},{G.name or 'X'}]")
     q1 = GroupHom(carrier, autS.carrier, tuple(p[0] for p in pairs))
     q2 = GroupHom(carrier, autX.carrier, tuple(p[1] for p in pairs))
-    assert q2.is_injective
-    if centralizer(S).order == 1 and not q1.is_injective:
-        raise AssertionError("q1 must be injective when the centralizer of S is trivial")
+    check_theorem(q2.is_injective, carrier.name, "q2 is injective")
+    check_theorem(centralizer(S).order > 1 or q1.is_injective, carrier.name,
+                  "q1 is injective when the centralizer of S is trivial")
     return RelativeClassifier(incl, tuple(pairs), q1, q2)

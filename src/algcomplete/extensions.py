@@ -7,7 +7,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import SearchBudgetExceeded, SizeCap, TableInvalid, check_theorem
+from .errors import SizeCap, TableInvalid, check_theorem
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     DEFAULT_SEARCH_BUDGET,
@@ -309,50 +309,35 @@ def enumerate_split_extensions(X: FiniteGroup, B: FiniteGroup) -> list[SplitExte
     return [semidirect_product(a) for a in iter_actions(B, X)]
 
 
-_DEDUP_AUT_CAP = 10000
-
-
 def enumerate_normal_embeddings(
     X: FiniteGroup, universe: Sequence[FiniteGroup]
 ) -> list[tuple[FiniteGroup, GroupHom]]:
-    """Every injective hom X -> Y with normal image, over all Y in the universe.
+    """Every injective hom X -> Y with normal image, over all Y in the universe, up to Aut(Y).
 
-    Deduplicated up to Aut(Y)-conjugacy of the image when Aut(Y) is small
-    enough to enumerate (at most _DEDUP_AUT_CAP automorphisms, found within
-    the default budget), else up to image-set equality (the images are
-    normal, so inner conjugacy never separates them anyway).
+    One embedding is kept per Aut(Y)-class of images, the first that the
+    search meets: a normal image puts the sorted images of its whole class,
+    one gather on `perms`, into a seen set, and a later image in that set is
+    skipped.  Normality and the existence of a retraction are the same on a
+    class, so the first embedding without one is the same as in the walk
+    over every image.  Aut(Y) is computed only for a Y with a normal image.
     """
     out = []
     b = _Budget(DEFAULT_SEARCH_BUDGET, "normal embeddings")
     for Y in universe:
-        if Y.order % X.order != 0 or Y.order < X.order:
+        if Y.order % X.order != 0:
             continue
         seen = set()
-        seen_raw = set()
-        aut_perms = None
         for img in iter_hom_images(X, Y, budget=b, injective=True):
-            image_set = frozenset(img)
-            if image_set in seen_raw:
-                continue
-            seen_raw.add(image_set)
-            h = GroupHom(X, Y, img)
-            if not h.image_subgroup().is_normal():
-                continue
-            if aut_perms is None:
-                try:
-                    aut_perms = automorphism_group(Y).elems
-                except SearchBudgetExceeded:
-                    aut_perms = ()
-                if len(aut_perms) > _DEDUP_AUT_CAP:
-                    aut_perms = ()
-            key = image_set
-            if aut_perms:
-                key = min(
-                    tuple(sorted(p[e] for e in image_set)) for p in aut_perms
-                )
+            image = sorted(img)
+            key = tuple(image)
             if key in seen:
                 continue
             seen.add(key)
+            h = GroupHom(X, Y, img)
+            if not h.image_subgroup().is_normal():
+                continue
+            perms = automorphism_group(Y).perms
+            seen.update(map(tuple, np.sort(perms[:, image], axis=1).tolist()))
             out.append((Y, h))
     return out
 

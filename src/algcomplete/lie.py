@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SearchBudgetExceeded, TableInvalid
+from .errors import SearchBudgetExceeded, TableInvalid, check_theorem
 from .groups import int_table
 
 # enumeration cap for bracket-respecting sections: p^(center_dim * der_dim)
@@ -180,6 +180,11 @@ class DerivationData:
     ad_coords: np.ndarray  # shape (der.dim, L.dim): column i = coords of ad(e_i)
 
 
+def _label(L: LieAlgebra) -> str:
+    """L's name in reports and theorem checks."""
+    return L.name or f"lie-dim-{L.dim}-F{L.p}"
+
+
 def lie_derivations(L: LieAlgebra) -> DerivationData:
     """Solve D[x,y] = [Dx,y] + [x,Dy] as a linear system in the d^2 entries of D.
 
@@ -209,14 +214,14 @@ def lie_derivations(L: LieAlgebra) -> DerivationData:
     iu, ju = np.triu_indices(m, 1)
     comm = (mats[iu] @ mats[ju] - mats[ju] @ mats[iu]) % p
     coords = solve_linear(ns, comm.reshape(-1, d * d).T, p)
-    assert coords is not None, "Der must be closed under commutators"
+    check_theorem(coords is not None, _label(L), "Der is closed under commutators")
     sc = np.zeros((m, m, m), dtype=np.int64)
     sc[iu, ju] = coords.T
     sc[ju, iu] = (-coords.T) % p
     der = LieAlgebra.create(p, sc, f"Der({L.name})" if L.name else None)
     ad_columns = c.transpose(0, 2, 1).reshape(d, d * d).T % p  # column i: ad(e_i), row-major
     ad_coords = solve_linear(ns, ad_columns, p)
-    assert ad_coords is not None, "inner derivations must lie in Der"
+    check_theorem(ad_coords is not None, _label(L), "the inner derivations lie in Der")
     return DerivationData(L, tuple(tuple(map(tuple, mm)) for mm in mats.tolist()), der, ad_coords)
 
 
@@ -272,13 +277,12 @@ def lie_classify(L: LieAlgebra) -> LieReport:
     strong-complete iff ad: L -> Der(L) is bijective; proto-complete iff ad
     admits a bracket-respecting linear section.  For perfect centerless L
     the derivation algebra itself must come out strong-complete, which is
-    asserted here by classifying it once more.
+    checked here by classifying it once more.
     """
     rep, der = _lie_verdicts(L)
     if rep.is_perfect and rep.center_dim == 0:
-        assert _lie_verdicts(der)[0].strong_complete, (
-            "derivation algebra of a perfect centerless algebra must be strong-complete"
-        )
+        check_theorem(_lie_verdicts(der)[0].strong_complete, f"Der({rep.name})",
+                      "the derivation algebra of a perfect centerless algebra is strong-complete")
     return rep
 
 
@@ -295,7 +299,8 @@ def _lie_verdicts(L: LieAlgebra) -> tuple[LieReport, LieAlgebra]:
         if d
         else np.zeros((0, 0), dtype=np.int64)
     )
-    assert center_dim == (d - rank(stacked, p) if d else 0)
+    check_theorem(center_dim == (d - rank(stacked, p) if d else 0), _label(L),
+                  "the center is the kernel of ad")
     if d:
         brackets = L._c.reshape(d * d, d).T  # columns span [L, L]
         is_perfect = rank(brackets, p) == d
@@ -305,10 +310,10 @@ def _lie_verdicts(L: LieAlgebra) -> tuple[LieReport, LieAlgebra]:
     S = _bracket_respecting_section(L, data)
     proto = S is not None
     if strong:
-        assert proto, "a bijective ad admits its inverse as a section"
+        check_theorem(proto, _label(L), "a bijective ad admits its inverse as a section")
     section = None if S is None else tuple(tuple(row) for row in S.tolist())
     report = LieReport(
-        name=L.name or f"lie-dim-{d}-F{p}",
+        name=_label(L),
         p=p,
         dim=d,
         center_dim=center_dim,

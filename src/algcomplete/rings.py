@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import TableInvalid
+from .errors import TableInvalid, check_theorem
 from .groups import FiniteGroup, first_mismatch, int_table, validate_table_with_generators
 
 
@@ -241,13 +241,14 @@ def ring_classify(R: FiniteRing) -> RingReport:
     u = unitalization(R)
     retractions = _ring_retractions(u)
     splits = bool(retractions)
-    assert splits == has_unit, "unitalization splitting must match unitality"
-    if has_unit:
-        # the retraction family is exactly {a.e + r} for two-sided units e;
-        # units are unique, so the retraction is too
-        assert len(retractions) == 1
+    name = R.name or f"ring-of-order-{R.order}"
+    check_theorem(splits == has_unit, name, "the unitalization splits exactly when R has a unit")
+    # the retraction family is exactly {a.e + r} for two-sided units e;
+    # units are unique, so the retraction is too
+    check_theorem(not has_unit or len(retractions) == 1, name,
+                  "the retraction of a unital ring's unitalization is unique")
     return RingReport(
-        name=R.name or f"ring-of-order-{R.order}",
+        name=name,
         order=R.order,
         has_unit=has_unit,
         unit=R.unit,

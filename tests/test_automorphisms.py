@@ -1,6 +1,7 @@
 import pickle
 import random
 import tracemalloc
+from math import lcm
 
 import numpy as np
 import pytest
@@ -63,8 +64,43 @@ def test_automorphism_group_orders(kind, n):
 
 def test_identity_is_index_zero(S4):
     aut = automorphism_group(S4)
-    assert aut.elems[0] == tuple(range(24))
+    assert aut.perms[0].tolist() == list(range(24))
     assert aut.element_order(0) == 1
+
+
+def _perm_order(p) -> int:
+    """Reference: the lcm of the cycle lengths of the permutation p."""
+    n = len(p)
+    seen = [False] * n
+    out = 1
+    for i in range(n):
+        if seen[i]:
+            continue
+        ln, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            ln += 1
+        out = lcm(out, ln)
+    return out
+
+
+def test_element_orders_match_the_cycle_lengths(catalog, Hol17):
+    for G in catalog + (Hol17,):
+        aut = automorphism_group(G)
+        expected = [_perm_order(p) for p in aut.perms.tolist()]
+        assert [aut.element_order(i) for i in range(aut.order)] == expected, G.name
+
+
+def test_mul_matches_python_composition(catalog):
+    rnd = random.Random(17)
+    for G in catalog:
+        aut = automorphism_group(G)
+        rows = aut.perms.tolist()
+        pairs = [(rnd.randrange(aut.order), rnd.randrange(aut.order)) for _ in range(50)]
+        for i, j in pairs:
+            composed = [rows[i][x] for x in rows[j]]
+            assert aut.mul(i, j) == rows.index(composed), G.name
 
 
 def test_ops_interface_matches_carrier(S3):
@@ -74,7 +110,8 @@ def test_ops_interface_matches_carrier(S3):
         assert aut.element_order(i) == carrier.element_order(i)
         for j in range(aut.order):
             assert aut.mul(i, j) == carrier.mul(i, j)
-        assert aut.mul(i, aut.inv(i)) == 0
+        inverse = aut.index_of_perm(np.argsort(aut.perms[i]))
+        assert aut.mul(i, inverse) == aut.mul(inverse, i) == 0
 
 
 def test_aut_s3_is_s3(S3):

@@ -1,10 +1,13 @@
+import ast
 import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import algcomplete
 from algcomplete import cli
 from algcomplete.catalog import resolve_catalog
 from algcomplete.cli import run_report
@@ -220,26 +223,57 @@ def test_invalid_action_is_rejected_under_python_O(tmp_path):
     assert proc.stdout == ""
 
 
+def run_faulty_under_python_O(fault: str, *argv):
+    """The CLI under `python -O` after the statements `fault` have broken a module."""
+    code = (
+        "import sys\n"
+        "from algcomplete import completeness, groups, lie, rings\n"
+        "from algcomplete.cli import run_report\n"
+        f"{fault}\n"
+        "sys.exit(run_report(sys.argv[1:]))\n"
+    )
+    return subprocess.run([sys.executable, "-O", "-c", code, *argv], capture_output=True, text=True)
+
+
 def test_failed_theorem_check_exits_2_under_python_O(tmp_path):
     """A theorem check is not an assert: under -O a c that is not bijective still stops the run."""
     path = write_catalog(tmp_path, [{"name": "S3", "symmetric": 3}])
-    code = (
-        "import sys\n"
-        "from algcomplete import completeness, groups\n"
-        "from algcomplete.cli import run_report\n"
-        "class NotBijective(groups.GroupHom):\n"
-        "    is_bijective = False\n"
-        "completeness.GroupHom = NotBijective\n"
-        "sys.exit(run_report(sys.argv[1:]))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code, "--catalog", path, "--mode", "classify"],
-        capture_output=True, text=True,
-    )
+    fault = ("class NotBijective(groups.GroupHom):\n"
+             "    is_bijective = False\n"
+             "completeness.GroupHom = NotBijective")
+    proc = run_faulty_under_python_O(fault, "--catalog", path, "--mode", "classify")
     assert proc.returncode == 2
     assert proc.stderr == ("error: S3: theorem check failed for S3: "
                            "trivial center and trivial Out make c an isomorphism\n")
     assert proc.stdout == ""
+
+
+def test_failed_ring_check_exits_2_under_python_O():
+    fault = "rings._ring_retractions = lambda u: []"
+    proc = run_faulty_under_python_O(fault, "--mode", "paper-examples")
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: Z/4: theorem check failed for Z/4: "
+                           "the unitalization splits exactly when R has a unit\n")
+    assert proc.stdout == ""
+
+
+def test_failed_lie_check_exits_2_under_python_O():
+    fault = "lie.solve_linear = lambda mat, rhs, p: None"
+    proc = run_faulty_under_python_O(fault, "--mode", "paper-examples")
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: sl2(F5): theorem check failed for sl2(F5): "
+                           "Der is closed under commutators\n")
+    assert proc.stdout == ""
+
+
+def test_the_package_has_no_assert_statements():
+    """Theorem checks go through errors.check_theorem, which `python -O` does not strip."""
+    found = []
+    for path in sorted(Path(algcomplete.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def report_rows(tmp_path, catalog, *flags):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 from algcomplete.catalog import cyclic, dicyclic, dihedral, symmetric
 from algcomplete.commutators import find_retraction
 from algcomplete.errors import SizeCap, TableInvalid
-from algcomplete.groups import GroupHom, Subgroup, direct_product, is_isomorphic, normal_subgroups
+from algcomplete.groups import (
+    FiniteGroup,
+    GroupHom,
+    Subgroup,
+    direct_product,
+    is_isomorphic,
+    normal_subgroups,
+)
 from algcomplete.automorphisms import automorphism_group
 from algcomplete.extensions import (
     GroupAction,
@@ -194,17 +203,17 @@ def test_semidirect_order_multiplies(pair):
         assert semidirect_product(a).A.order == m * n
 
 
-def test_normal_embeddings_dedup_falls_back_only_on_budget(monkeypatch, Z2, V4):
-    from algcomplete import extensions
+def test_normal_embeddings_propagate_automorphism_errors(monkeypatch, Z2, V4):
+    from algcomplete import automorphisms, extensions
     from algcomplete.errors import SearchBudgetExceeded
 
     assert len(enumerate_normal_embeddings(Z2, [V4])) == 1
 
-    def exhausted(G):
-        raise SearchBudgetExceeded("hom search node budget exhausted")
-
-    monkeypatch.setattr(extensions, "automorphism_group", exhausted)
-    assert len(enumerate_normal_embeddings(Z2, [V4])) == 3
+    fresh = FiniteGroup.from_table(V4.table)  # Aut(fresh) is not computed yet
+    with monkeypatch.context() as m:
+        m.setattr(automorphisms, "DEFAULT_SEARCH_BUDGET", 0)
+        with pytest.raises(SearchBudgetExceeded, match="^automorphism search: "):
+            enumerate_normal_embeddings(Z2, [fresh])
 
     def broken(G):
         raise RuntimeError("bug in the automorphism search")
@@ -212,6 +221,57 @@ def test_normal_embeddings_dedup_falls_back_only_on_budget(monkeypatch, Z2, V4):
     monkeypatch.setattr(extensions, "automorphism_group", broken)
     with pytest.raises(RuntimeError):
         enumerate_normal_embeddings(Z2, [V4])
+
+
+def _extend_to_hom(X, Y, gen_images):
+    """The image array of the hom X -> Y sending X's generators to gen_images, or None."""
+    img = [None] * X.order
+    img[0] = 0
+    frontier = [0]
+    for x in frontier:
+        for g, h in zip(X.generators, gen_images):
+            y, v = X.mul(x, g), Y.mul(img[x], h)
+            if img[y] is None:
+                img[y] = v
+                frontier.append(y)
+            elif img[y] != v:
+                return None
+    return tuple(img)
+
+
+def normal_embeddings_by_brute_force(X, Y):
+    """Every injective hom with normal image, the first of each Aut(Y)-class of images.
+
+    The homs come from every tuple of generator images in lex order; a class
+    is named by the least sorted image over all rows of Aut(Y), in Python.
+    """
+    rows = automorphism_group(Y).perms.tolist()
+    out, seen, names = [], set(), {}
+    for gen_images in itertools.product(range(Y.order), repeat=len(X.generators)):
+        img = _extend_to_hom(X, Y, gen_images)
+        if img is None or len(set(img)) != X.order:
+            continue
+        image = frozenset(img)
+        if any(Y.conj(y, s) not in image for y in range(Y.order) for s in image):
+            continue
+        if image not in names:
+            names[image] = min(tuple(sorted(row[s] for s in image)) for row in rows)
+        if names[image] not in seen:
+            seen.add(names[image])
+            out.append(img)
+    return out
+
+
+def test_normal_embeddings_match_the_brute_force_classes(catalog, Z2, V4):
+    Z2_3 = direct_product(Z2, V4, name="Z2^3")[0]
+    targets = [Y for Y in catalog if Y.order == 16]
+    assert "G16.13" in [Y.name for Y in targets]  # |Aut| = 20,160
+    for X in (Z2, V4, Z2_3):
+        for Y in targets:
+            got = [h.image for Z, h in enumerate_normal_embeddings(X, [Y])]
+            assert got == normal_embeddings_by_brute_force(X, Y), (X.name, Y.name)
+    G16_13 = next(Y for Y in targets if Y.name == "G16.13")
+    assert len(enumerate_normal_embeddings(V4, [G16_13])) == 1
 
 
 def test_semidirect_product_rejects_a_non_homomorphic_action(Z3):

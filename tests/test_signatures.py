@@ -34,7 +34,7 @@ FIELDS = {
     "extensions.GroupAction": ["B", "aut", "indices"],  # X is aut.base
     "extensions.SplitExtension": ["kappa", "alpha", "beta", "action"],  # X, A, B
     "automorphisms.RelativeClassifier": ["m", "pairs", "q1", "q2"],  # S, X, carrier
-    "automorphisms.AutomorphismGroup": ["base", "perms"],  # order, elems
+    "automorphisms.AutomorphismGroup": ["base", "perms"],  # order
 }
 
 
