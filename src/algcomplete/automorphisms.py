@@ -189,15 +189,15 @@ def _stabilizer_chain(G: FiniteGroup) -> np.ndarray:
     union of the cosets rep_c . Stab_{d+1}, one per point c of the orbit of
     g_d under Stab_d, with rep_c(g_d) = c; each coset is one gather
     rep_c[Stab_{d+1}].  Stab_{k-1} is one hom search with the earlier
-    generators fixed, so its one open level is batched when it reaches
-    BATCH_LOOKUPS.  For d < k-1 the orbit is closed under the automorphisms
-    known to lie in Stab_d: the rows of Stab_{k-1}, the representatives
-    searched on the levels below, and at d = 0 the inner automorphisms of
-    the generators, which cost no search.  Each order-matching candidate c
-    still outside the orbit gets one first-solution search for an
-    automorphism sending g_d to c; a found one joins the automorphisms the
-    orbit is closed under.  All searches share one "automorphism search"
-    budget and the schedules, built once.
+    generators fixed, so only its last level has more than one candidate.
+    For d < k-1 the orbit is closed under the automorphisms known to lie in
+    Stab_d: the rows of Stab_{k-1}, the representatives searched on the
+    levels below, and at d = 0 the inner automorphisms of the generators,
+    which cost no search.  Each order-matching candidate c still outside
+    the orbit gets one first-solution search for an automorphism sending
+    g_d to c; a found one joins the automorphisms the orbit is closed under.
+    All searches share one "automorphism search" budget and the schedules,
+    built once.
     """
     n = G.order
     dtype = np.int16 if n < 2**15 else np.int32

@@ -185,6 +185,8 @@ def resolve_catalog(entries: Sequence[dict]) -> list[FiniteGroup]:
         if not isinstance(entry, dict) or "name" not in entry:
             raise ConfigInvalid(f"catalog entry {i} must be an object with a name")
         name = entry["name"]
+        if not isinstance(name, str):
+            raise ConfigInvalid(f"catalog entry {i}: name must be a string")
         if name in named:
             raise ConfigInvalid(f"duplicate catalog name: {name}")
         try:
@@ -218,7 +220,7 @@ def _resolve_entry(entry: dict, named: dict) -> FiniteGroup:
         spec = entry["semidirect"]
         X = _lookup(named, spec["kernel"])
         B = _lookup(named, spec["actor"])
-        a = GroupAction.create(B, automorphism_group(X), tuple(spec["action"]))
+        a = GroupAction.create(B, automorphism_group(X), spec["action"])
         return semidirect_product(a).A
     if "quotient" in entry:
         spec = entry["quotient"]

@@ -16,6 +16,7 @@ from .groups import (
     HomDomain,
     _Budget,
     direct_product,
+    int_table,
     iter_hom_images,
 )
 from .automorphisms import AutomorphismGroup, automorphism_group, conjugation_indices
@@ -35,7 +36,8 @@ class GroupAction:
 
     @staticmethod
     def create(B: FiniteGroup, aut: AutomorphismGroup, indices) -> "GroupAction":
-        a = GroupAction(B, aut, tuple(indices))
+        """The action with the outside `indices`, read by `int_table` and checked."""
+        a = GroupAction(B, aut, tuple(int_table(indices, ndim=1).tolist()))
         a.check()
         return a
 

@@ -11,7 +11,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -589,24 +589,6 @@ class GroupHom:
 # interface, so that they can be automorphism groups whose Cayley table would
 # be too large to build: order, mul(i, j), element_order(i).
 
-# A level of the search is one generator's candidates, each checked against
-# that level's schedule.  A level into a FiniteGroup with at least
-# BATCH_LOOKUPS candidate x schedule-entry lookups is evaluated as one numpy
-# batch (`_LevelBatch`); smaller levels, and every level into a codomain
-# without a table, walk each candidate in Python (`attempt`).  A batch
-# evaluates every candidate of its level before the first is consumed, so it
-# cannot stop at the first hit of a first-solution search: the retraction
-# searches over `extensions.semidirect_columns` (limit 1 or 2), whose
-# candidates mostly fail within a few entries.  Measured on 2 cores against
-# the walk, batching only a search's largest level: on those retraction
-# searches the batch lost at every size from 2,048 to 262,144 lookups (1.7x
-# slower falling to 1.2x), while on automorphism searches it broke even near
-# 4,096 and was twice as fast from 8,192.  The constant is the first power
-# of two above the largest retraction level of `--mode audit --bound 7` on
-# S4, F20 and Hol(Z7) (27,216 lookups), so those stay on the walk, and below
-# the large automorphism levels (D99: 39,204; Hol(Z23): 232,760).
-BATCH_LOOKUPS = 32_768
-
 
 class _Budget:
     """A node budget; `phase` names the search that spends it in the error."""
@@ -623,15 +605,6 @@ class _Budget:
         if self.left < 0:
             nodes = f"{self.size} node" + ("" if self.size == 1 else "s")
             raise SearchBudgetExceeded(f"{self.phase}: hom search node budget exhausted after {nodes}")
-
-
-class SearchLevel(NamedTuple):
-    """One level's schedule: (parent, gen_pos, product, is_new) entries in
-    breadth-first order; `layer_ends[i]` ends the block of entries whose
-    parents lie at distance i from the identity."""
-
-    entries: list
-    layer_ends: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -662,140 +635,34 @@ class HomDomain:
             orders.append(k)
         return tuple(orders)
 
-    def schedules(self) -> list[SearchLevel]:
+    def schedules(self) -> list[list[tuple[int, int, int, bool]]]:
         """Per-prefix multiplication schedules for the backtracking hom search.
 
-        schedule[k] covers the subgroup generated by gens[:k+1]
-        (`SearchLevel`), in breadth-first order from the identity, with
-        parents appearing before any product naming them, so image values
-        can be propagated in one pass.  At full depth the schedule checks
-        f(x*g)=f(x)*f(g) for every x and every generator g, which forces f
-        to be a homomorphism.  The prefix given as `levels` is kept; only
-        the later levels are built.
+        schedule[k] covers the subgroup generated by gens[:k+1] as
+        (parent, gen_pos, product, is_new) entries in breadth-first order
+        from the identity, with parents appearing before any product naming
+        them, so image values can be propagated in one pass.  At full depth
+        the schedule checks f(x*g)=f(x)*f(g) for every x and every generator
+        g, which forces f to be a homomorphism.  The prefix given as
+        `levels` is kept; only the later levels are built.
         """
         schedules = list(self.levels)
         for k in range(len(schedules) + 1, len(self.columns) + 1):
             active = self.columns[:k]
             entries = []
-            layer_ends = []
             known = {0}
-            layer = [0]
-            while layer:
-                below = []
-                for x in layer:
-                    for pos, col in enumerate(active):
-                        y = col[x]
-                        if y in known:
-                            entries.append((x, pos, y, False))
-                        else:
-                            known.add(y)
-                            entries.append((x, pos, y, True))
-                            below.append(y)
-                layer_ends.append(len(entries))
-                layer = below
-            schedules.append(SearchLevel(entries, tuple(layer_ends)))
+            reached = [0]
+            for x in reached:  # grows as products are found: a breadth-first queue
+                for pos, col in enumerate(active):
+                    y = col[x]
+                    if y in known:
+                        entries.append((x, pos, y, False))
+                    else:
+                        known.add(y)
+                        entries.append((x, pos, y, True))
+                        reached.append(y)
+            schedules.append(entries)
         return schedules
-
-
-class _LevelBatch:
-    """Evaluates whole search levels into one FiniteGroup codomain with numpy.
-
-    All candidates of a level are filled in together as the rows of one
-    (candidates x domain order) array, one breadth-first layer at a time:
-    a layer's products are looked up from its parents' images, its new
-    products are stored, and its closure checks drop the rows they refute.
-    Injectivity is checked per row at the end.  The codomain's table is
-    copied once per search, as int16 (int32 beyond 32767 elements) and
-    transposed so that `cols[a]` is the right multiplication by a.
-    """
-
-    def __init__(self, cod: "FiniteGroup", schedules: list[SearchLevel], n: int, injective: bool):
-        nc = cod.order
-        t = np.array(cod.table, dtype=np.int16 if nc < 2**15 else np.int32)
-        self.cols = np.ascontiguousarray(t.T)
-        self.nc = nc
-        self.n = n
-        self.injective = injective
-        self.schedules = schedules
-        self.plans: dict[int, tuple] = {}
-        # one int object per label, shared by every image; labels[-1] is the
-        # -1 of an element outside the searched subgroup
-        self.labels = np.array(list(range(nc)) + [-1], dtype=object)
-
-    def _plan(self, depth: int) -> tuple:
-        """Level `depth` as index arrays: per layer its parents, each entry's
-        offset to its generator's column, its count of new products, the new
-        products and the products it checks (the new entries first); then
-        the elements the level reaches and those it does not."""
-        plan = self.plans.get(depth)
-        if plan is None:
-            entries, layer_ends = self.schedules[depth]
-            arr = np.fromiter(itertools.chain.from_iterable(entries), np.int32, 4 * len(entries))
-            arr = arr.reshape(-1, 4)
-            layers = []
-            begin = 0
-            for end in layer_ends:
-                block = arr[begin:end]
-                begin = end
-                fresh = block[:, 3] == 1
-                nnew = int(np.count_nonzero(fresh))
-                block = np.concatenate((block[fresh], block[~fresh]))
-                layers.append((block[:, 0], block[:, 1, None] * np.int32(self.nc), nnew,
-                               block[:nnew, 2], block[nnew:, 2]))
-            reached = np.zeros(self.n, dtype=bool)
-            reached[0] = True
-            reached[arr[arr[:, 3] == 1, 2]] = True
-            plan = self.plans[depth] = (layers, np.flatnonzero(reached), np.flatnonzero(~reached))
-        return plan
-
-    def level(self, depth: int, assigned: Sequence[int], cands: Sequence[int], last: bool) -> list:
-        """For each of `cands` as the image of generator `depth`, after the
-        images `assigned` of the earlier ones: None if it fails, else its
-        image tuple at the `last` level and True before it."""
-        layers, reached, unreached = self._plan(depth)
-        nc, m, width = self.nc, len(cands), depth + 1
-        out: list = [None] * m
-        gens = np.empty((m, width), dtype=np.intp)
-        gens[:, :depth] = assigned
-        gens[:, depth] = cands
-        # row r looks products up in its own block of width*nc entries, and
-        # every value it holds is offset by that block's start, so a value
-        # indexes its own row's block and rows can be dropped freely
-        dtype = np.int32 if m * width * nc < 2**31 else np.int64
-        start = np.arange(m, dtype=dtype) * (width * nc)
-        flat = (self.cols[gens] + start[:, None, None]).ravel()
-        img = np.empty((self.n, m), dtype=dtype)  # img[x, r]: row r's image of x
-        img[0] = start
-        alive = np.arange(m)
-        for parents, shift, nnew, fresh, checked in layers:
-            v = flat.take(img.take(parents, axis=0) + shift)
-            img[fresh] = v[:nnew]
-            if len(checked):
-                ok = (img.take(checked, axis=0) == v[nnew:]).all(axis=0)
-                if not ok.all():
-                    alive, img = alive[ok], img[:, ok]
-                    if not len(alive):
-                        return out
-        if self.injective or last:
-            img = img.take(reached, axis=0) if len(unreached) else img
-            img -= start[alive]
-        if self.injective:
-            # mark each row's values in its own block of nc flags
-            marks = np.zeros(len(alive) * nc, dtype=bool)
-            marks[img + np.arange(len(alive)) * nc] = True
-            ok = np.count_nonzero(marks.reshape(-1, nc), axis=1) == len(reached)
-            alive, img = alive[ok], img[:, ok]
-        if not last:
-            for i in alive.tolist():
-                out[i] = True
-            return out
-        if len(unreached):
-            full = np.full((self.n, len(alive)), -1, dtype=dtype)
-            full[reached] = img
-            img = full
-        for i, image in zip(alive.tolist(), self.labels[img.T].tolist()):
-            out[i] = tuple(image)
-        return out
 
 
 def iter_hom_images(
@@ -817,9 +684,10 @@ def iter_hom_images(
     the group-ops interface.  With `injective=True`, branches producing
     repeated images are pruned.
 
+    Each candidate is walked through its level's schedule, reading products
+    from the rows of a FiniteGroup codomain and through `cod.mul` otherwise.
     One node of `budget` is spent per candidate, in candidate order, as it
-    is consumed, whichever evaluator checked it (see BATCH_LOOKUPS), so the
-    nodes spent and the point where the budget runs out do not depend on it.
+    is walked.
     """
     n = G.order
     if n == 1:
@@ -838,18 +706,13 @@ def iter_hom_images(
     k = len(dom.gens)
     rows = cod.table if isinstance(cod, FiniteGroup) else None
     cod_mul = cod.mul
-    batched = [
-        rows is not None and len(c) * len(s.entries) >= BATCH_LOOKUPS
-        for c, s in zip(candidates, schedules)
-    ]
-    batch = _LevelBatch(cod, schedules, n, injective) if any(batched) else None
 
     def attempt(depth: int, assigned: Sequence[int]) -> Optional[list[int]]:
         budget.spend()
         img = [-1] * n
         img[0] = 0
         used = {0} if injective else None
-        for parent, pos, prod, is_new in schedules[depth].entries:
+        for parent, pos, prod, is_new in schedules[depth]:
             if rows is not None:
                 v = rows[img[parent]][assigned[pos]]
             else:
@@ -865,15 +728,9 @@ def iter_hom_images(
         return img
 
     def rec(depth: int, assigned: list[int]) -> Iterator[tuple[int, ...]]:
-        cands = candidates[depth]
         last = depth + 1 == k
-        found = batch.level(depth, assigned, cands, last) if batched[depth] else None
-        for i, c in enumerate(cands):
-            if found is None:
-                img = attempt(depth, assigned + [c])
-            else:
-                budget.spend()
-                img = found[i]
+        for c in candidates[depth]:
+            img = attempt(depth, assigned + [c])
             if img is None:
                 continue
             if last:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from algcomplete.catalog import cyclic, dicyclic, dihedral, symmetric
 from algcomplete.commutators import center, centralizer
 from algcomplete.completeness import classify_completeness
-from algcomplete.errors import TableInvalid
+from algcomplete.errors import SearchBudgetExceeded, TableInvalid
 from algcomplete.groups import (
     DEFAULT_SEARCH_BUDGET,
     FiniteGroup,
@@ -204,6 +204,10 @@ def test_carrier_shares_its_int_objects(Hol17):
     table = automorphism_group(Hol17).carrier.table
     assert len(table) == Hol17.order
     assert len({id(v) for row in table for v in row}) <= 2 * Hol17.order
+    # the hom search reads its images off Hol(Z17)'s table: one int object per label
+    images = full_enumeration(Hol17)
+    assert len(images) == 272
+    assert len({id(v) for img in images for v in img}) == Hol17.order
 
 
 def test_carrier_of_a_list_missing_an_element_raises(S4):
@@ -217,6 +221,22 @@ def full_enumeration(G):
     """The reference: every injective hom G -> G from one search, sorted."""
     return sorted(iter_hom_images(G, G, budget=_Budget(DEFAULT_SEARCH_BUDGET, "reference"),
                                   injective=True))
+
+
+def assert_cut_searches_yield_prefixes(G):
+    """A budget that runs out, mostly inside a level, ends the search after a prefix of its images."""
+    budget = _Budget(DEFAULT_SEARCH_BUDGET, "reference")
+    images = list(iter_hom_images(G, G, budget=budget, injective=True))
+    nodes = budget.size - budget.left
+    for size in (2, 57, 100, 1234, 5000):
+        if size >= nodes:
+            continue
+        budget = _Budget(size, "reference")
+        found = []
+        with pytest.raises(SearchBudgetExceeded, match=f"exhausted after {size} nodes$"):
+            for img in iter_hom_images(G, G, budget=budget, injective=True):
+                found.append(img)
+        assert budget.left == -1 and found and found == images[:len(found)], (G.name, size)
 
 
 LARGE = {
@@ -247,6 +267,7 @@ def test_stabilizer_chain_lists_large_groups_like_the_full_enumeration(name):
     G = LARGE[name]()
     assert_matches_full_enumeration(G)
     assert_matches_full_enumeration(relabel(G, random.Random(name)))
+    assert_cut_searches_yield_prefixes(G)
 
 
 def test_equal_automorphism_groups_have_the_same_base_and_rows(S4, S3):

@@ -134,10 +134,12 @@ def test_every_search_takes_a_labelled_budget():
 
 
 def test_deleted_options_stay_deleted():
-    """No public callable takes an element cap, extra audit factors or a recursion switch."""
+    """No public callable takes an element cap, extra audit factors or a recursion switch,
+    and the hom search has one level evaluator, with no switch to a second."""
     for name, fn in public_callables():
         params = set(inspect.signature(fn).parameters)
         assert not params & {"cap", "factors", "check_derivation_algebra"}, name
+    assert not hasattr(groups, "BATCH_LOOKUPS") and not hasattr(groups, "_LevelBatch")
     assert [f.name for f in dataclasses.fields(completeness.ClassificationReport)] == [
         "name", "order", "center_order", "aut_order", "inn_order", "out_order",
         "proto_complete", "proto_section", "strong_complete",

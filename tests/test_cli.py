@@ -11,7 +11,7 @@ import algcomplete
 from algcomplete import cli
 from algcomplete.catalog import resolve_catalog
 from algcomplete.cli import run_report
-from algcomplete.errors import NotASubgroup, SizeCap, TableInvalid
+from algcomplete.errors import ConfigInvalid, NotASubgroup, SizeCap, TableInvalid
 from conftest import relabel
 
 
@@ -176,8 +176,15 @@ def semidirect(action):
      "catalog entry 'Q': not closed under inversion at 1"),
     ([{"name": "K", "cyclic": 513}], SizeCap, "catalog entry 'K': Z513 has more than 512 elements"),
     ([{"name": "K", "symmetric": 6}], SizeCap, "catalog entry 'K': S6 has more than 512 elements"),
+    ([Z3, semidirect([0, 1.0, 0])], TableInvalid,
+     "catalog entry 'K': entry is not an integer (witness: (1, 1.0))"),
+    ([Z3, semidirect([0, True, 2])], TableInvalid,
+     "catalog entry 'K': entry is not an integer (witness: (1, True))"),
+    ([Z3, {"name": [1], "cyclic": 2}], ConfigInvalid, "catalog entry 1: name must be a string"),
+    ([{"name": 5, "cyclic": 2}], ConfigInvalid, "catalog entry 0: name must be a string"),
 ], ids=["cayley", "action-range", "action-hom", "cayley-float", "cayley-bool", "permutation-float",
-        "quotient-index", "quotient-not-subgroup", "cyclic-over-cap", "symmetric-over-cap"])
+        "quotient-index", "quotient-not-subgroup", "cyclic-over-cap", "symmetric-over-cap",
+        "action-float", "action-bool", "name-list", "name-int"])
 @pytest.mark.parametrize("flag", ["--catalog", "--universe"])
 def test_invalid_catalog_is_config_error(tmp_path, capsys, entries, error, message, flag):
     path = write_catalog(tmp_path, entries)
