@@ -14,9 +14,9 @@ from .groups import (
     DEFAULT_SEARCH_BUDGET,
     FiniteGroup,
     GroupHom,
-    HomDomain,
     Subgroup,
     _Budget,
+    _label_rows,
     iter_hom_images,
     quotient,
 )
@@ -153,10 +153,8 @@ class AutomorphismGroup:
             if labels.min() < 0:
                 bad = tuple(int(v) for v in np.argwhere(labels < 0)[0])
                 raise TableInvalid("automorphism list is not closed under composition", bad)
-        ints = list(range(n))  # one int object per label, shared by every row
-        table = tuple(tuple(map(ints.__getitem__, row.tolist())) for row in labels)
         name = f"Aut({self.base.name})" if self.base.name else None
-        return FiniteGroup(table, name)
+        return FiniteGroup(_label_rows(labels), name)
 
 
 def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
@@ -196,14 +194,13 @@ def _stabilizer_chain(G: FiniteGroup) -> np.ndarray:
     which cost no search.  Each order-matching candidate c still outside
     the orbit gets one first-solution search for an automorphism sending
     g_d to c; a found one joins the automorphisms the orbit is closed under.
-    All searches share one "automorphism search" budget and the schedules,
-    built once.
+    All searches share one "automorphism search" budget and one search
+    domain, so its schedules are built once.
     """
     n = G.order
     dtype = np.int16 if n < 2**15 else np.int32
     dom = G.hom_domain()
     gens = dom.gens
-    dom = HomDomain(n, gens, dom.columns, levels=tuple(dom.schedules()))
     budget = _Budget(DEFAULT_SEARCH_BUDGET, "automorphism search")
     fixed = {g: [g] for g in gens[:-1]}
     stab = np.array(list(iter_hom_images(dom, G, fixed, budget=budget, injective=True)), dtype=dtype)

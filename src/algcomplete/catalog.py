@@ -214,12 +214,16 @@ def _resolve_entry(entry: dict, named: dict) -> FiniteGroup:
         if key in entry:
             return build(recipe_integer(entry[key], key))
     if "product" in entry:
+        if not isinstance(entry["product"], list):
+            raise ConfigInvalid("product must be a list of two names")
         a, b = entry["product"]
         return direct_product(_lookup(named, a), _lookup(named, b))[0]
     if "semidirect" in entry:
         spec = entry["semidirect"]
         X = _lookup(named, spec["kernel"])
         B = _lookup(named, spec["actor"])
+        if not isinstance(spec["action"], list):
+            raise ConfigInvalid("action must be a list")
         a = GroupAction.create(B, automorphism_group(X), spec["action"])
         return semidirect_product(a).A
     if "quotient" in entry:

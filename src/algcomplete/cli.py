@@ -14,11 +14,12 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from functools import partial
 from typing import Optional, Sequence
 
 from .errors import AlgebraError, ConfigInvalid
-from .groups import FiniteGroup, direct_product
+from .groups import DEFAULT_SEARCH_BUDGET, FiniteGroup, direct_product
 from .catalog import alternating, build_catalog, cyclic, resolve_catalog, symmetric
 from .completeness import (
     classify_completeness,
@@ -64,8 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search node budget, shared by the section search of each "
                         "classification, by all retraction searches of one split-extension "
                         "pass (which gives a row's proto and strong verdicts together) or "
-                        "by those of one complete oracle; automorphism and action "
-                        "enumeration are not covered")
+                        "by those of one complete oracle; automorphism search, action "
+                        "enumeration and normal-embedding enumeration are not covered: "
+                        f"each runs under its own fixed limit of {DEFAULT_SEARCH_BUDGET:,} nodes")
     p.add_argument("--out", default=_env("OUT", None), help="report file; default stdout")
     p.add_argument("--jobs", type=_positive_int, default=_env("JOBS", "1"))
     return p
@@ -272,11 +274,12 @@ def run_report(argv: Optional[Sequence[str]] = None) -> int:
     failed = any(map(fails, rows))
     report["failed"] = failed
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
+    try:
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 2
     return 1 if failed else 0
 
 

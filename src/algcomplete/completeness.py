@@ -162,20 +162,19 @@ def split_extension_oracles(
 
     A retraction is determined by its values on kappa(gens of G) and
     beta(gens of B), so the search reads only A's right multiplication by
-    those (`semidirect_columns`, k*|A| entries), and G's own schedule levels
-    serve every extension.  No middle group is built, so no element cap
-    applies: a failing verdict carries its extension's action instead.
+    those (`semidirect_columns`, k*|A| entries).  No middle group is built,
+    so no element cap applies: a failing verdict carries its extension's
+    action instead.
     """
     b = _Budget(budget if budget is not None else DEFAULT_SEARCH_BUDGET,
                 "split-extension oracles")
-    kernel_levels = G.hom_domain().schedules()
     fixed = {x: [x] for x in range(G.order)}  # a retraction fixes kappa(x) = x
     strong = None
     for B in universe:
         if B.order > bound:
             continue
         for a in iter_action_orbits(B, G):
-            found = find_constrained_hom(semidirect_columns(a, kernel_levels), G, allowed=fixed,
+            found = find_constrained_hom(semidirect_columns(a), G, allowed=fixed,
                                          budget=b, limit=1 if strong is not None else 2)
             if not found:
                 w = _action_witness(a)

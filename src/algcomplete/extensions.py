@@ -181,15 +181,14 @@ def semidirect_product(a: GroupAction, name: Optional[str] = None) -> SplitExten
     return SplitExtension.create(kappa, alpha, beta, a)
 
 
-def semidirect_columns(a: GroupAction, kernel_levels: Sequence = ()) -> HomDomain:
+def semidirect_columns(a: GroupAction) -> HomDomain:
     """X : B as a hom-search domain on kappa(gens of X) + beta(gens of B), with no table.
 
     Each column comes straight from (b,x)(b',x') = (bb', a(b'^-1)(x) x'),
     with (b,x) encoded as b*|X| + x as in `semidirect_product`: kappa(x0)
     sends (b,x) to (b, x x0) and beta(b0) sends it to (b b0, a(b0^-1)(x)).
     That is O(|A|) memory per generator instead of the |A|^2 Cayley table.
-    Since kappa(x) = x, the search schedules over kappa(gens of X) are X's
-    own schedules over its generators; pass them as `kernel_levels`.
+    Since kappa(x) = x, its first search levels are X's own schedules.
 
     The split-extension invariants are checked on the generators, raising
     TableInvalid: beta is a section, kappa is injective, im(kappa) =
@@ -223,7 +222,7 @@ def semidirect_columns(a: GroupAction, kernel_levels: Sequence = ()) -> HomDomai
         # g N is the fibre of alpha over alpha(g), since a(1) is the identity
         if not np.array_equal(coset, alpha == alpha[g]):
             raise TableInvalid("im(kappa) is not normal", (g,))
-    return HomDomain(n, tuple(gens), tuple(c.tolist() for c in cols), tuple(kernel_levels))
+    return HomDomain(n, tuple(gens), tuple(c.tolist() for c in cols))
 
 
 def holonomy(G: FiniteGroup) -> SplitExtension:
@@ -314,33 +313,22 @@ def enumerate_split_extensions(X: FiniteGroup, B: FiniteGroup) -> list[SplitExte
 def enumerate_normal_embeddings(
     X: FiniteGroup, universe: Sequence[FiniteGroup]
 ) -> list[tuple[FiniteGroup, GroupHom]]:
-    """Every injective hom X -> Y with normal image, over all Y in the universe, up to Aut(Y).
+    """Every injective hom X -> Y with normal image, over all Y in the universe, one per image.
 
-    One embedding is kept per Aut(Y)-class of images, the first that the
-    search meets: a normal image puts the sorted images of its whole class,
-    one gather on `perms`, into a seen set, and a later image in that set is
-    skipped.  Normality and the existence of a retraction are the same on a
-    class, so the first embedding without one is the same as in the walk
-    over every image.  Aut(Y) is computed only for a Y with a normal image.
+    The first embedding that the search meets is kept for each normal image.
+    Whether an embedding has a retraction depends only on its image, so no
+    other embedding onto that image is needed.
     """
     out = []
     b = _Budget(DEFAULT_SEARCH_BUDGET, "normal embeddings")
     for Y in universe:
         if Y.order % X.order != 0:
             continue
-        seen = set()
+        first = {}  # image -> the first embedding onto it, in search order
         for img in iter_hom_images(X, Y, budget=b, injective=True):
-            image = sorted(img)
-            key = tuple(image)
-            if key in seen:
-                continue
-            seen.add(key)
-            h = GroupHom(X, Y, img)
-            if not h.image_subgroup().is_normal():
-                continue
-            perms = automorphism_group(Y).perms
-            seen.update(map(tuple, np.sort(perms[:, image], axis=1).tolist()))
-            out.append((Y, h))
+            first.setdefault(frozenset(img), img)
+        homs = (GroupHom(X, Y, img) for img in first.values())
+        out.extend((Y, h) for h in homs if h.image_subgroup().is_normal())
     return out
 
 

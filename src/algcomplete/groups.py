@@ -222,6 +222,16 @@ def validate_table_with_generators(table) -> tuple[np.ndarray, list[int]]:
     return t, gens
 
 
+def _label_rows(t: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The rows of the square array `t`, entries in range(len(t)), as tuples.
+
+    `tolist` makes one int object per entry above 256; these rows share one
+    per label.  A row at a time, so the whole table is never Python ints.
+    """
+    labels = list(range(len(t)))
+    return tuple(tuple(map(labels.__getitem__, row.tolist())) for row in t)
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite group given by its full Cayley table, identity at index 0."""
@@ -236,7 +246,7 @@ class FiniteGroup:
     def from_table(table, name: Optional[str] = None) -> "FiniteGroup":
         """A group on `table`, read and checked by `validate_table` and kept as `np_table`."""
         t = validate_table(table)
-        G = FiniteGroup(tuple(map(tuple, t.tolist())), name)
+        G = FiniteGroup(_label_rows(t), name)
         G.__dict__["np_table"] = t
         return G
 
@@ -613,16 +623,15 @@ class HomDomain:
 
     `columns[pos][x]` is x * gens[pos] for every element x of a group of
     `order` elements, identity at 0, so the search never needs the Cayley
-    table.  `levels` are the search schedules of a prefix of `gens`
-    (`schedules()`), when the caller already has them.  A FiniteGroup
-    supplies its columns from its table (`FiniteGroup.hom_domain`); a split
-    extension supplies them from its action (`extensions.semidirect_columns`).
+    table.  A FiniteGroup supplies its columns from its table
+    (`FiniteGroup.hom_domain`); a split extension supplies them from its
+    action (`extensions.semidirect_columns`).  The search schedules are
+    built once per domain object, so searches that share a domain share them.
     """
 
     order: int
     gens: tuple[int, ...]
     columns: tuple[Sequence[int], ...]
-    levels: tuple = ()
 
     def gen_orders(self) -> tuple[int, ...]:
         """The order of each generator g, from the powers of g along its own column."""
@@ -635,6 +644,7 @@ class HomDomain:
             orders.append(k)
         return tuple(orders)
 
+    @cached_property
     def schedules(self) -> list[list[tuple[int, int, int, bool]]]:
         """Per-prefix multiplication schedules for the backtracking hom search.
 
@@ -643,11 +653,10 @@ class HomDomain:
         from the identity, with parents appearing before any product naming
         them, so image values can be propagated in one pass.  At full depth
         the schedule checks f(x*g)=f(x)*f(g) for every x and every generator
-        g, which forces f to be a homomorphism.  The prefix given as
-        `levels` is kept; only the later levels are built.
+        g, which forces f to be a homomorphism.
         """
-        schedules = list(self.levels)
-        for k in range(len(schedules) + 1, len(self.columns) + 1):
+        schedules = []
+        for k in range(1, len(self.columns) + 1):
             active = self.columns[:k]
             entries = []
             known = {0}
@@ -655,11 +664,10 @@ class HomDomain:
             for x in reached:  # grows as products are found: a breadth-first queue
                 for pos, col in enumerate(active):
                     y = col[x]
-                    if y in known:
-                        entries.append((x, pos, y, False))
-                    else:
+                    is_new = y not in known
+                    entries.append((x, pos, y, is_new))
+                    if is_new:
                         known.add(y)
-                        entries.append((x, pos, y, True))
                         reached.append(y)
             schedules.append(entries)
         return schedules
@@ -702,7 +710,7 @@ def iter_hom_images(
             candidates.append([h for h in pool if cod.element_order(h) == o])
         else:
             candidates.append([h for h in pool if o % cod.element_order(h) == 0])
-    schedules = dom.schedules()
+    schedules = dom.schedules
     k = len(dom.gens)
     rows = cod.table if isinstance(cod, FiniteGroup) else None
     cod_mul = cod.mul

@@ -43,6 +43,16 @@ def test_classify_small_catalog(tmp_path):
     assert rows[1]["strong_complete"]
 
 
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["no-directory", "directory"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, target):
+    path = write_catalog(tmp_path, [{"name": "Z3", "cyclic": 3}])
+    out = tmp_path / target
+    assert run_report(["--catalog", path, "--mode", "classify", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write report: ") and captured.err.count("\n") == 1
+
+
 def test_crosscheck_bound_one(tmp_path):
     path = write_catalog(tmp_path, [{"name": "S3", "symmetric": 3}])
     out = tmp_path / "r.json"
@@ -182,9 +192,16 @@ def semidirect(action):
      "catalog entry 'K': entry is not an integer (witness: (1, True))"),
     ([Z3, {"name": [1], "cyclic": 2}], ConfigInvalid, "catalog entry 1: name must be a string"),
     ([{"name": 5, "cyclic": 2}], ConfigInvalid, "catalog entry 0: name must be a string"),
+    ([{"name": "Z", "cyclic": 3}, {"name": "K", "product": "ZZ"}], ConfigInvalid,
+     "catalog entry 'K': product must be a list of two names"),
+    ([Z3, {"name": "Z2", "cyclic": 2}, {"name": "K", "product": {"Z3": 0, "Z2": 1}}],
+     ConfigInvalid, "catalog entry 'K': product must be a list of two names"),
+    ([Z3, semidirect(5)], ConfigInvalid, "catalog entry 'K': action must be a list"),
+    ([Z3, semidirect("01")], ConfigInvalid, "catalog entry 'K': action must be a list"),
 ], ids=["cayley", "action-range", "action-hom", "cayley-float", "cayley-bool", "permutation-float",
         "quotient-index", "quotient-not-subgroup", "cyclic-over-cap", "symmetric-over-cap",
-        "action-float", "action-bool", "name-list", "name-int"])
+        "action-float", "action-bool", "name-list", "name-int", "product-string", "product-dict",
+        "action-int", "action-string"])
 @pytest.mark.parametrize("flag", ["--catalog", "--universe"])
 def test_invalid_catalog_is_config_error(tmp_path, capsys, entries, error, message, flag):
     path = write_catalog(tmp_path, entries)

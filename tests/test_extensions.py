@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algcomplete.catalog import cyclic, dicyclic, dihedral, symmetric
-from algcomplete.commutators import find_retraction
+from algcomplete.commutators import embedding_retraction, find_retraction
 from algcomplete.errors import SizeCap, TableInvalid
 from algcomplete.groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _Budget,
     direct_product,
     is_isomorphic,
     normal_subgroups,
@@ -63,15 +64,17 @@ def test_create_still_rejects_a_non_section(Z3, Z2):
                                   (dicyclic(2), dihedral(2)), (cyclic(1), cyclic(3))],
                          ids=["Z3:Z2", "V4:Z3", "Z7:Z6", "S3:Z4", "Q8:V4", "1:Z3"])
 def test_columns_match_the_semidirect_table(X, B):
-    levels = X.hom_domain().schedules()
+    levels = X.hom_domain().schedules
     for a in iter_actions(B, X):
         e = semidirect_product(a)
-        dom = semidirect_columns(a, levels)
+        dom = semidirect_columns(a)
         gens = [e.kappa(x) for x in X.generators] + [e.beta(b) for b in B.generators]
         assert dom.order == e.A.order and dom.gens == tuple(gens)
         assert dom.columns == e.A.hom_domain(gens).columns
         assert dom.gen_orders() == tuple(e.A.element_order(g) for g in gens)
-        assert dom.schedules() == semidirect_columns(a).schedules()
+        assert dom.schedules == e.A.hom_domain(gens).schedules
+        assert dom.schedules[:len(levels)] == levels  # kappa(x) = x: X's own first levels
+        assert dom.schedules is dom.schedules  # built once per domain
 
 
 def test_columns_reject_a_non_homomorphic_action(Z3):
@@ -203,24 +206,18 @@ def test_semidirect_order_multiplies(pair):
         assert semidirect_product(a).A.order == m * n
 
 
-def test_normal_embeddings_propagate_automorphism_errors(monkeypatch, Z2, V4):
+def test_normal_embeddings_need_no_automorphism_group(monkeypatch, Z2, V4):
     from algcomplete import automorphisms, extensions
-    from algcomplete.errors import SearchBudgetExceeded
-
-    assert len(enumerate_normal_embeddings(Z2, [V4])) == 1
-
-    fresh = FiniteGroup.from_table(V4.table)  # Aut(fresh) is not computed yet
-    with monkeypatch.context() as m:
-        m.setattr(automorphisms, "DEFAULT_SEARCH_BUDGET", 0)
-        with pytest.raises(SearchBudgetExceeded, match="^automorphism search: "):
-            enumerate_normal_embeddings(Z2, [fresh])
 
     def broken(G):
         raise RuntimeError("bug in the automorphism search")
 
+    monkeypatch.setattr(automorphisms, "automorphism_group", broken)
     monkeypatch.setattr(extensions, "automorphism_group", broken)
-    with pytest.raises(RuntimeError):
-        enumerate_normal_embeddings(Z2, [V4])
+    fresh = FiniteGroup.from_table(V4.table)
+    out = enumerate_normal_embeddings(Z2, [fresh])
+    assert [h.image for Y, h in out] == [(0, 1), (0, 2), (0, 3)]
+    assert "automorphism_group" not in fresh.__dict__
 
 
 def _extend_to_hom(X, Y, gen_images):
@@ -240,38 +237,60 @@ def _extend_to_hom(X, Y, gen_images):
 
 
 def normal_embeddings_by_brute_force(X, Y):
-    """Every injective hom with normal image, the first of each Aut(Y)-class of images.
+    """Every injective hom with normal image, the first onto each image.
 
-    The homs come from every tuple of generator images in lex order; a class
-    is named by the least sorted image over all rows of Aut(Y), in Python.
+    The homs come from every tuple of generator images in lex order.
     """
-    rows = automorphism_group(Y).perms.tolist()
-    out, seen, names = [], set(), {}
+    out, seen = [], set()
     for gen_images in itertools.product(range(Y.order), repeat=len(X.generators)):
         img = _extend_to_hom(X, Y, gen_images)
         if img is None or len(set(img)) != X.order:
             continue
         image = frozenset(img)
-        if any(Y.conj(y, s) not in image for y in range(Y.order) for s in image):
+        if image in seen:
             continue
-        if image not in names:
-            names[image] = min(tuple(sorted(row[s] for s in image)) for row in rows)
-        if names[image] not in seen:
-            seen.add(names[image])
+        seen.add(image)
+        if all(Y.conj(y, s) in image for y in range(Y.order) for s in image):
             out.append(img)
     return out
 
 
-def test_normal_embeddings_match_the_brute_force_classes(catalog, Z2, V4):
+def test_normal_embeddings_match_the_brute_force_images(catalog, Z2, V4):
     Z2_3 = direct_product(Z2, V4, name="Z2^3")[0]
     targets = [Y for Y in catalog if Y.order == 16]
-    assert "G16.13" in [Y.name for Y in targets]  # |Aut| = 20,160
+    assert "G16.13" in [Y.name for Y in targets]  # Z2^4, |Aut| = 20,160
     for X in (Z2, V4, Z2_3):
         for Y in targets:
             got = [h.image for Z, h in enumerate_normal_embeddings(X, [Y])]
             assert got == normal_embeddings_by_brute_force(X, Y), (X.name, Y.name)
     G16_13 = next(Y for Y in targets if Y.name == "G16.13")
-    assert len(enumerate_normal_embeddings(V4, [G16_13])) == 1
+    assert len(enumerate_normal_embeddings(V4, [G16_13])) == 35  # the subgroups of order 4
+
+
+def test_first_embedding_without_retraction_is_the_first_of_its_aut_class(catalog, Z2, V4):
+    """An Aut(Y)-class of images has one verdict, and the first failure opens its class.
+
+    So the first embedding without a retraction is the one a walk over one
+    embedding per Aut(Y)-class of images meets first.
+    """
+    shared = 0  # failures whose class holds more than one image
+    for X in (Z2, cyclic(3), V4, cyclic(4)):
+        for Y in catalog:
+            if Y.order > 16 or Y.order % X.order:
+                continue
+            out = enumerate_normal_embeddings(X, [Y])
+            rows = automorphism_group(Y).perms.tolist()
+            classes = [min(tuple(sorted(row[s] for s in set(h.image))) for row in rows)
+                       for _, h in out]
+            b = _Budget(10**6, "retraction search")
+            splits = [embedding_retraction(h, b) is not None for _, h in out]
+            verdicts = dict(zip(classes, splits))
+            assert all(verdicts[c] == v for c, v in zip(classes, splits)), (X.name, Y.name)
+            if False in splits:
+                i = splits.index(False)
+                assert classes.index(classes[i]) == i, (X.name, Y.name)
+                shared += classes.count(classes[i]) > 1
+    assert shared == 10
 
 
 def test_semidirect_product_rejects_a_non_homomorphic_action(Z3):

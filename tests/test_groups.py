@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algcomplete.catalog import cyclic, dihedral, symmetric
+from algcomplete.catalog import cyclic, dicyclic, dihedral, symmetric
 from algcomplete.errors import (
     ClosureTooLarge,
     ConfigInvalid,
@@ -231,6 +231,14 @@ def test_validate_table_returns_the_checked_array(S3):
     t = validate_table(S3.table)
     assert t.dtype == np.int64 and t.tolist() == [list(row) for row in S3.table]
     assert FiniteGroup.from_table(S3.table).np_table.tolist() == t.tolist()
+
+
+def test_table_groups_share_one_int_object_per_label():
+    G = dicyclic(125)  # built by from_table, order 500
+    assert len({id(v) for row in G.table for v in row}) == 500
+    H = FiniteGroup.from_table(dihedral(250).table)
+    assert H.table == dihedral(250).table
+    assert len({id(v) for row in H.table for v in row}) == 500
 
 
 @pytest.mark.parametrize("data, ndim, expected", [

@@ -27,6 +27,7 @@ SIGNATURES = {
     "automorphisms.relative_classifier": ["S"],
     "completeness.centerless_char_criterion": ["S"],
     "extensions.GroupAction.create": ["B", "aut", "indices"],
+    "extensions.semidirect_columns": ["a"],  # X's schedules are the domain's own first levels
 }
 
 # the dataclasses whose other objects are properties read off these fields
@@ -35,6 +36,7 @@ FIELDS = {
     "extensions.SplitExtension": ["kappa", "alpha", "beta", "action"],  # X, A, B
     "automorphisms.RelativeClassifier": ["m", "pairs", "q1", "q2"],  # S, X, carrier
     "automorphisms.AutomorphismGroup": ["base", "perms"],  # order
+    "groups.HomDomain": ["order", "gens", "columns"],  # schedules
 }
 
 
