@@ -16,7 +16,6 @@ from .groups import (
     GroupHom,
     Subgroup,
     _Budget,
-    _label_rows,
     iter_hom_images,
     quotient,
 )
@@ -129,32 +128,23 @@ class AutomorphismGroup:
     def carrier(self) -> FiniteGroup:
         """Cayley table of Aut(base) under composition.
 
-        Every product is composed at once on fingerprints (the images of the
-        base generators): entry (i, j) is f_i applied to f_j's fingerprint.
-        Fingerprints become indices one generator at a time: a prefix is
-        labelled by an element sharing it, through a dense lookup array on
-        (prefix label, next image).  A product whose fingerprint is not in
-        the list raises TableInvalid, since then the list is not a group.
+        Entry (i, j) is f_i applied to f_j's fingerprint, looked up in
+        `_index`.  A product whose fingerprint is not in the list raises
+        TableInvalid, since then the list is not a group.
         """
         n = self.order
         if n > DEFAULT_ELEMENT_CAP:
             raise SizeCap(f"automorphism group order {n} exceeds cap {DEFAULT_ELEMENT_CAP}")
-        size = self.base.order
-        perms, fingerprints = self.perms, self._fingerprints
-        composed = perms[:, fingerprints]  # composed[i, j] = f_i(fingerprint of f_j)
-        known = np.zeros(n, dtype=np.intp)  # label of each element's prefix
-        labels = np.zeros((n, n), dtype=np.intp)  # label of each product's prefix
-        for pos in range(fingerprints.shape[1]):
-            keys = known * size + fingerprints[:, pos]
-            lookup = np.full(n * size, -1, dtype=np.intp)
-            lookup[keys] = np.arange(n)
-            known = lookup[keys]
-            labels = lookup[labels * size + composed[:, :, pos]]
-            if labels.min() < 0:
-                bad = tuple(int(v) for v in np.argwhere(labels < 0)[0])
-                raise TableInvalid("automorphism list is not closed under composition", bad)
+        index = self._index
+        rows = []
+        for i, composed in enumerate(self.perms[:, self._fingerprints]):
+            row = list(map(index.get, map(tuple, composed.tolist())))
+            if None in row:
+                raise TableInvalid("automorphism list is not closed under composition",
+                                   (i, row.index(None)))
+            rows.append(tuple(row))
         name = f"Aut({self.base.name})" if self.base.name else None
-        return FiniteGroup(_label_rows(labels), name)
+        return FiniteGroup(tuple(rows), name)
 
 
 def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:

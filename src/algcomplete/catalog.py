@@ -18,6 +18,7 @@ from .groups import (
     Subgroup,
     direct_product,
     group_from_permutations,
+    int_table,
     is_isomorphic,
     load_group,
     quotient,
@@ -228,7 +229,10 @@ def _resolve_entry(entry: dict, named: dict) -> FiniteGroup:
         return semidirect_product(a).A
     if "quotient" in entry:
         spec = entry["quotient"]
-        N = Subgroup.create(_lookup(named, spec["parent"]), spec["subgroup"])
+        parent = _lookup(named, spec["parent"])
+        if not isinstance(spec["subgroup"], list):
+            raise ConfigInvalid("subgroup must be a list")
+        N = Subgroup.create(parent, int_table(spec["subgroup"], ndim=1).tolist())
         return quotient(N)[0]
     raise ConfigInvalid("no recognized recipe")
 

@@ -252,34 +252,28 @@ def run_report(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"ALGC_MODE: invalid choice: {args.mode!r} "
                      f"(choose from {', '.join(map(repr, MODES))})")
     try:
-        catalog = _load_catalog(args.catalog)
-        same = not args.universe or args.universe == args.catalog
-        universe = catalog if same else _load_catalog(args.universe)
-    except AlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = {
-        "schema": SCHEMA,
-        "mode": args.mode,
-        "catalog_size": len(catalog),
-        "bound": args.bound,
-    }
-    key, run, fails = MODES[args.mode]
-    try:
-        rows = run(args, catalog, universe)
-    except AlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report[key] = rows
-    failed = any(map(fails, rows))
-    report["failed"] = failed
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    try:
-        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
-            fh.write(text)
+        out = open(args.out, "w") if args.out else nullcontext(sys.stdout)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2
+    key, run, fails = MODES[args.mode]
+    with out as fh:
+        try:
+            catalog = _load_catalog(args.catalog)
+            same = not args.universe or args.universe == args.catalog
+            rows = run(args, catalog, catalog if same else _load_catalog(args.universe))
+        except AlgebraError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        failed = any(map(fails, rows))
+        report = {"schema": SCHEMA, "mode": args.mode, "catalog_size": len(catalog),
+                  "bound": args.bound, key: rows, "failed": failed}
+        try:
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            fh.flush()
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     return 1 if failed else 0
 
 

@@ -226,10 +226,12 @@ def _label_rows(t: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """The rows of the square array `t`, entries in range(len(t)), as tuples.
 
     `tolist` makes one int object per entry above 256; these rows share one
-    per label.  A row at a time, so the whole table is never Python ints.
+    per label, gathered from an object array of the labels 64 rows at a
+    time, so no list of the whole table is built.
     """
-    labels = list(range(len(t)))
-    return tuple(tuple(map(labels.__getitem__, row.tolist())) for row in t)
+    labels = np.arange(len(t)).astype(object)
+    return tuple(tuple(row) for start in range(0, len(t), 64)
+                 for row in labels[t[start:start + 64]].tolist())
 
 
 @dataclass(frozen=True)
@@ -263,7 +265,7 @@ class FiniteGroup:
         missing = np.flatnonzero(~is_id[np.arange(len(t)), inv])
         if missing.size:
             raise TableInvalid("row has no inverse", (int(missing[0]),))
-        G = FiniteGroup(tuple(map(tuple, t.tolist())), name)
+        G = FiniteGroup(_label_rows(t), name)
         G.__dict__["np_table"] = t
         G.__dict__["inverses"] = tuple(inv.tolist())
         return G

@@ -44,13 +44,17 @@ def test_classify_small_catalog(tmp_path):
 
 
 @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["no-directory", "directory"])
-def test_unwritable_out_is_config_error(tmp_path, capsys, target):
+def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch, target):
+    """The report file is opened before the run, so a bad path stops it before any job."""
+    jobs = []
+    monkeypatch.setattr(cli, "_job_classify", jobs.append)
     path = write_catalog(tmp_path, [{"name": "Z3", "cyclic": 3}])
     out = tmp_path / target
     assert run_report(["--catalog", path, "--mode", "classify", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write report: ") and captured.err.count("\n") == 1
+    assert jobs == []
 
 
 def test_crosscheck_bound_one(tmp_path):
@@ -167,6 +171,13 @@ def semidirect(action):
     return {"name": "K", "semidirect": {"kernel": "Z3", "actor": "Z3", "action": action}}
 
 
+Z2 = {"name": "Z2", "cyclic": 2}
+
+
+def quotient_of_z2(subgroup):
+    return {"name": "Q", "quotient": {"parent": "Z2", "subgroup": subgroup}}
+
+
 @pytest.mark.parametrize("entries, error, message", [
     ([{"name": "K", "cayley": [[0, 1], [1, 1]]}], TableInvalid,
      "catalog entry 'K': row is not a permutation (witness: (1,))"),
@@ -198,10 +209,15 @@ def semidirect(action):
      ConfigInvalid, "catalog entry 'K': product must be a list of two names"),
     ([Z3, semidirect(5)], ConfigInvalid, "catalog entry 'K': action must be a list"),
     ([Z3, semidirect("01")], ConfigInvalid, "catalog entry 'K': action must be a list"),
+    ([Z2, quotient_of_z2([0, True])], TableInvalid,
+     "catalog entry 'Q': entry is not an integer (witness: (1, True))"),
+    ([Z2, quotient_of_z2([0, 2.0])], TableInvalid,
+     "catalog entry 'Q': entry is not an integer (witness: (1, 2.0))"),
+    ([Z2, quotient_of_z2("02")], ConfigInvalid, "catalog entry 'Q': subgroup must be a list"),
 ], ids=["cayley", "action-range", "action-hom", "cayley-float", "cayley-bool", "permutation-float",
         "quotient-index", "quotient-not-subgroup", "cyclic-over-cap", "symmetric-over-cap",
         "action-float", "action-bool", "name-list", "name-int", "product-string", "product-dict",
-        "action-int", "action-string"])
+        "action-int", "action-string", "quotient-bool", "quotient-float", "quotient-string"])
 @pytest.mark.parametrize("flag", ["--catalog", "--universe"])
 def test_invalid_catalog_is_config_error(tmp_path, capsys, entries, error, message, flag):
     path = write_catalog(tmp_path, entries)
@@ -262,9 +278,8 @@ def run_faulty_under_python_O(fault: str, *argv):
 def test_failed_theorem_check_exits_2_under_python_O(tmp_path):
     """A theorem check is not an assert: under -O a c that is not bijective still stops the run."""
     path = write_catalog(tmp_path, [{"name": "S3", "symmetric": 3}])
-    fault = ("class NotBijective(groups.GroupHom):\n"
-             "    is_bijective = False\n"
-             "completeness.GroupHom = NotBijective")
+    # in --mode classify only the injectivity check of c calls `set` in completeness
+    fault = "completeness.set = lambda cidx: ()"
     proc = run_faulty_under_python_O(fault, "--catalog", path, "--mode", "classify")
     assert proc.returncode == 2
     assert proc.stderr == ("error: S3: theorem check failed for S3: "

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algcomplete import completeness, extensions
+from algcomplete.automorphisms import AutomorphismGroup
 from algcomplete.catalog import alternating, cyclic, dicyclic, dihedral, symmetric
 from algcomplete.commutators import center
 from algcomplete.errors import (
@@ -328,6 +329,41 @@ def test_budget_exhaustion_names_the_phase(S3, Z2, Z4):
         oracle_completeness(Z2, "complete", 2, [Z4], "just-Z4", budget=1)
     with pytest.raises(SearchBudgetExceeded, match="^section search: "):
         classify_completeness(S3, budget=1)
+
+
+def out_trivial_groups(catalog):
+    """The builtin groups with Out(G) = 1, Hol(Z_p) for six primes, S4 and S5."""
+    hol = [group_from_permutations(p, holomorph_generators(p), name=f"Hol(Z{p})")
+           for p in (5, 7, 11, 13, 17, 23)]
+    return ([G for G in catalog if classify_completeness(G).out_order == 1]
+            + hol + [symmetric(4), symmetric(5)])
+
+
+def test_section_on_inn_is_unique(monkeypatch, catalog):
+    """With Out(G) = 1 c has at most one section, so the one found does not
+    depend on the generators the search on Inn(G) uses."""
+    groups = out_trivial_groups(catalog)
+    sections = [classify_completeness(G).proto_section for G in groups]
+    found = []
+
+    def two_sections(dom, G, **kwargs):
+        found.append(find_constrained_hom(dom, G, limit=2, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(completeness, "find_constrained_hom", two_sections)
+    for G, section in zip(groups, sections):
+        assert classify_completeness(G).proto_section == section
+        assert found.pop() == [section], G.name
+    assert len(groups) == 13  # Z1, Z2, S3, F20 and S4 built in, 6 holomorphs, S4 and S5
+
+
+def test_classification_builds_no_carrier(monkeypatch, catalog):
+    def refuse(aut):
+        raise AssertionError(f"the classification built the carrier of Aut({aut.base.name})")
+
+    monkeypatch.setattr(AutomorphismGroup, "carrier", property(refuse))
+    for G in list(catalog) + out_trivial_groups(catalog):
+        classify_completeness(G)
 
 
 def test_decompose_s3(S3):

@@ -241,6 +241,12 @@ def test_table_groups_share_one_int_object_per_label():
     assert len({id(v) for row in H.table for v in row}) == 500
 
 
+def test_array_groups_share_one_int_object_per_label():
+    P = direct_product(cyclic(2), dihedral(100))[0]  # built by from_array, order 400
+    assert len({id(v) for row in P.table for v in row}) == 400
+    assert P.table == tuple(map(tuple, P.np_table.tolist()))
+
+
 @pytest.mark.parametrize("data, ndim, expected", [
     ([[0, 1], [1, 0.9]], 2, ("entry is not an integer", (1, 1, 0.9))),
     ([[0.0, 1.0], [1.0, 0.0]], 2, ("entry is not an integer", (0, 0, 0.0))),

@@ -27,7 +27,7 @@ def test_automorphism_list_must_start_with_the_identity(monkeypatch):
 
 def test_section_must_be_a_section_of_c(monkeypatch):
     monkeypatch.setattr(completeness, "find_constrained_hom",
-                        lambda carrier, G, **kwargs: [(0,) * carrier.order])
+                        lambda inn, G, **kwargs: [(0,) * inn.order])
     with pytest.raises(TableInvalid, match="not a section of c"):
         completeness.classify_completeness(symmetric(3))
 
