@@ -23,10 +23,11 @@ SECTION_EXPONENT_CAP = 6
 def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Row-reduced echelon form mod p and the pivot column list.
 
-    Each pivot is the first nonzero entry at or below the current row, and
-    one outer-product update clears its column in every other row at once.
-    Rows below the current one are zero left of the pivot column, so the
-    update only touches columns from the pivot on.
+    One scan of column c lists its nonzero rows.  The pivot is the first of
+    them at or below the current row, swapped up only if it is not there
+    already; every other listed row is then cleared by one broadcast update
+    mod p.  Rows below the current one are zero left of the pivot column,
+    so the update only touches columns from the pivot on.
     """
     m = np.asarray(mat, dtype=np.int64) % p
     rows, cols = m.shape
@@ -35,16 +36,19 @@ def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r >= rows:
             break
-        below = np.flatnonzero(m[r:, c])
-        if below.size == 0:
+        nz = m[:, c].nonzero()[0]
+        at = nz.searchsorted(r)
+        if at == nz.size:
             continue
-        pivot = r + int(below[0])
+        pivot = int(nz[at])
         if pivot != r:
             m[[r, pivot]] = m[[pivot, r]]
-        m[r, c:] = (m[r, c:] * pow(int(m[r, c]), -1, p)) % p
-        hit = np.flatnonzero(m[:, c])
-        hit = hit[hit != r]
-        m[hit, c:] = (m[hit, c:] - np.outer(m[hit, c], m[r, c:])) % p
+        row = (m[r, c:] * pow(int(m[r, c]), -1, p)) % p
+        m[r, c:] = row
+        # a swap moves only the pivot among the rows in nz, so the others keep their index
+        hit = nz[nz != pivot]
+        if hit.size:
+            m[hit, c:] = (m[hit, c:] - m[hit, c, None] * row) % p
         pivots.append(c)
         r += 1
     return m, pivots
@@ -185,11 +189,45 @@ def _label(L: LieAlgebra) -> str:
     return L.name or f"lie-dim-{L.dim}-F{L.p}"
 
 
+def _leibniz_system(c: np.ndarray, p: int) -> np.ndarray:
+    """The equations of `lie_derivations` for the constants c, less the redundant ones.
+
+    Row (i, j, k), for i < j only, holds the coefficients of the unknowns
+    D[r][s] (row-major) in the k-coordinate of D[e_i,e_j] - [De_i,e_j] -
+    [e_i,De_j]; it is built from the nonzero constants alone, and all-zero
+    rows are dropped.  Equation (j, i, k) is the negative of (i, j, k) and
+    (i, i, k) is identically 0, so the null space is the same as that of
+    the full d^3 x d^2 system.
+    """
+    d = c.shape[0]
+    ks = np.arange(d)
+    iu, ju = np.triu_indices(d, 1)
+    pair = np.zeros((d, d), dtype=np.int64)
+    pair[iu, ju] = np.arange(iu.size)  # equation (i, j, k) is row (pair[i, j], k) for i < j
+    coeff = np.zeros((iu.size, d, d, d), dtype=np.int64)  # [pair, k, r, s] of unknown D[r, s]
+    a, b, e = c.nonzero()
+    v = c[a, b, e]
+    # D[e_i, e_j] puts c[i,j,s] on D[k, s] for every k
+    up = a < b
+    np.add.at(coeff, (pair[a[up], b[up], None], ks, ks, e[up, None]), v[up, None])
+    # -[De_i, e_j] puts -c[r,j,k] on D[r, i], for every i < j
+    n, i = (ks < b[:, None]).nonzero()
+    np.add.at(coeff, (pair[i, b[n]], e[n], a[n], i), -v[n])
+    # -[e_i, De_j] puts -c[i,r,k] on D[r, j], for every j > i
+    n, j = (ks > a[:, None]).nonzero()
+    np.add.at(coeff, (pair[a[n], j], e[n], b[n], j), -v[n])
+    coeff %= p
+    system = coeff.reshape(-1, d * d)
+    return system[system.any(axis=1)]
+
+
 def lie_derivations(L: LieAlgebra) -> DerivationData:
     """Solve D[x,y] = [Dx,y] + [x,Dy] as a linear system in the d^2 entries of D.
 
     Unknowns are D[r][s] (row-major); one equation per (i, j, k): the
     k-coordinate of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j] vanishes.
+    `_leibniz_system` keeps only the equations with i < j that are not
+    all zero, which have the same null space.
     """
     p, d = L.p, L.dim
     if d == 0:
@@ -197,17 +235,7 @@ def lie_derivations(L: LieAlgebra) -> DerivationData:
                                 f"Der({L.name})" if L.name else None)
         return DerivationData(L, (), der, np.zeros((0, 0), dtype=np.int64))
     c = L._c
-    eye = np.eye(d, dtype=np.int64)
-    # coeff[i,j,k, r,s] of unknown D[r,s] in equation (i,j,k): D applied to
-    # [e_i,e_j] puts c[i,j,s] at r = k; -[De_i, e_j] puts -c[r,j,k] at s = i;
-    # -[e_i, De_j] puts -c[i,r,k] at s = j
-    coeff = (
-        np.einsum("ijs,kr->ijkrs", c, eye)
-        - np.einsum("rjk,is->ijkrs", c, eye)
-        - np.einsum("irk,js->ijkrs", c, eye)
-    )
-    system = coeff.reshape(d * d * d, d * d) % p
-    ns = nullspace(system, p)  # (d*d, m); columns are the basis, already independent
+    ns = nullspace(_leibniz_system(c, p), p)  # (d*d, m); columns are the basis, already independent
     m = ns.shape[1]
     mats = ns.T.reshape(m, d, d)
     # express every [Di, Dj] = DiDj - DjDi (i < j) in the basis; coordinates are unique
@@ -257,7 +285,7 @@ def _bracket_respecting_section(L: LieAlgebra, data: DerivationData) -> Optional
     Z = nullspace(A, p)  # (d, z) = center
     z = Z.shape[1]
     if z * m > SECTION_EXPONENT_CAP:
-        raise SearchBudgetExceeded(f"section family of size {p}^{z * m}")
+        raise SearchBudgetExceeded(f"{_label(L)}: section search: section family of size {p}^{z * m}")
     iu, ju = np.triu_indices(m, 1)
     dsc = data.der._c[iu, ju]  # (pairs, m): [D_i, D_j] in Der's basis
     for entries in itertools.product(range(p), repeat=z * m):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from algcomplete.errors import TableInvalid
+from algcomplete import lie
+from algcomplete.errors import SearchBudgetExceeded, TableInvalid
 from algcomplete.lie import (
     SECTION_EXPONENT_CAP,
     LieAlgebra,
@@ -341,6 +342,26 @@ def test_row_reduction_matches_the_reference(p, rows, cols, r, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 7), st.integers(0, 7), st.integers(0, 7),
+       st.integers(0, 4), st.integers(0, 2**32 - 1))
+@example(5, 0, 4, 2, 3, 0)
+@example(3, 6, 5, 0, 2, 1)
+def test_zero_duplicated_and_negated_rows_leave_the_null_space(p, rows, cols, r, extra, seed):
+    """The Leibniz build drops such rows; the null space must not see them."""
+    rng = np.random.default_rng(seed)
+    A = random_matrix(rng, p, rows, cols, r)
+    picks = rng.integers(0, rows, size=2 * extra) if rows else np.zeros(0, dtype=np.int64)
+    B = np.concatenate([
+        A,
+        np.zeros((extra, cols), dtype=np.int64),
+        A[picks[:extra]],
+        (-A[picks[extra:]]) % p,
+    ])
+    B = B[rng.permutation(B.shape[0])]
+    assert np.array_equal(nullspace(B, p), reference_nullspace(A, p))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 7), st.integers(0, 7), st.integers(0, 7),
        st.integers(1, 4), st.integers(0, 2**32 - 1))
 @example(5, 0, 3, 1, 2, 0)
 @example(3, 4, 0, 1, 3, 1)
@@ -382,10 +403,37 @@ def heisenberg(p):
     return LieAlgebra.create(p, c, f"heis(F{p})")
 
 
+def _inverse(M, p):
+    """M^-1 mod p by the reference row reduction of [M | I], or None if M is singular."""
+    d = M.shape[0]
+    r, pivots = reference_rref(np.concatenate([M % p, np.eye(d, dtype=np.int64)], axis=1), p)
+    return r[:, d:] if pivots[:d] == list(range(d)) else None
+
+
+def _gl_change(L, M, name=None):
+    """Constants in the basis f_a = sum_i M[a][i] e_i, for M invertible mod p."""
+    p = L.p
+    N = _inverse(np.asarray(M, dtype=np.int64), p)
+    assert N is not None
+    return LieAlgebra.create(p, np.einsum("ai,bj,ijk,kl->abl", M, M, L._c, N) % p, name)
+
+
+def _random_gl(d, p, rng, low=0):
+    """A random invertible d x d matrix mod p with entries in [low, p)."""
+    while True:
+        M = rng.integers(low, p, size=(d, d))
+        if _inverse(M, p) is not None:
+            return M
+
+
+_rng = np.random.default_rng(21)
 REFERENCE_ALGEBRAS = [
     sl2(5), sl2(7), sl2(3), sl2(2), _direct_sum(sl2(5), sl2(5)), _direct_sum(sl2(7), sl2(7)),
     abelian_lie(1, 2), abelian_lie(2, 3), abelian_lie(3, 5), nonabelian2(2), nonabelian2(7),
     heisenberg(3), heisenberg(5), _direct_sum(sl2(5), abelian_lie(1, 5)),
+    # dense constants: no zero entry in the change of basis
+    _gl_change(_direct_sum(sl2(5), sl2(5)), _random_gl(6, 5, _rng, 1), "sl2(F5)^2-in-GL-basis"),
+    _gl_change(heisenberg(5), _random_gl(3, 5, _rng, 1), "heis(F5)-in-GL-basis"),
 ]
 
 
@@ -428,3 +476,19 @@ def test_monomial_change_of_basis_keeps_every_verdict(L, rnd):
     fields = ("dim", "center_dim", "der_dim", "is_perfect", "proto_complete", "strong_complete")
     a, b = lie_classify(L), lie_classify(M)
     assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(REFERENCE_ALGEBRAS), st.integers(0, 2**32 - 1))
+def test_gl_change_of_basis_keeps_every_verdict(L, seed):
+    M = _random_gl(L.dim, L.p, np.random.default_rng(seed))
+    fields = ("dim", "center_dim", "der_dim", "is_perfect", "proto_complete", "strong_complete")
+    a, b = lie_classify(L), lie_classify(_gl_change(L, M))
+    assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+
+
+def test_section_cap_error_names_the_algebra_and_the_phase(monkeypatch):
+    monkeypatch.setattr(lie, "SECTION_EXPONENT_CAP", -1)
+    with pytest.raises(SearchBudgetExceeded) as err:
+        lie_classify(sl2(5))
+    assert str(err.value) == "sl2(F5): section search: section family of size 5^0"
