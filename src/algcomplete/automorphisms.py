@@ -163,8 +163,6 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
         order = np.argsort(
             perms.astype(perms.dtype.newbyteorder(">")).view(f"V{perms.itemsize * G.order}").ravel())
         perms = perms[order]
-        if not np.array_equal(perms[0], np.arange(G.order)):
-            raise TableInvalid("automorphism search did not return the identity first")
         perms.flags.writeable = False
         aut = G.__dict__["automorphism_group"] = AutomorphismGroup(G, perms)
     return aut
@@ -175,65 +173,71 @@ def _stabilizer_chain(G: FiniteGroup) -> np.ndarray:
 
     Stab_d, the automorphisms fixing the generators g_0..g_{d-1}, is the
     union of the cosets rep_c . Stab_{d+1}, one per point c of the orbit of
-    g_d under Stab_d, with rep_c(g_d) = c; each coset is one gather
-    rep_c[Stab_{d+1}].  Stab_{k-1} is one hom search with the earlier
-    generators fixed, so only its last level has more than one candidate.
-    For d < k-1 the orbit is closed under the automorphisms known to lie in
-    Stab_d: the rows of Stab_{k-1}, the representatives searched on the
-    levels below, and at d = 0 the inner automorphisms of the generators,
-    which cost no search.  Each order-matching candidate c still outside
-    the orbit gets one first-solution search for an automorphism sending
-    g_d to c; a found one joins the automorphisms the orbit is closed under.
-    All searches share one "automorphism search" budget and one search
-    domain, so its schedules are built once.
+    g_d under Stab_d, with rep_c(g_d) = c.  Stab_k is the identity, found by
+    one search with every generator fixed; each level d = k-1 .. 0 then
+    gathers all its cosets rep_c[Stab_{d+1}] in one call.  The orbit is
+    closed under the moves, automorphisms known to lie in Stab_d: the
+    representatives searched on the levels above, and at d = 0 the inner
+    automorphisms of the generators, which cost no search.  Each
+    order-matching candidate c that is neither on the orbit nor known to be
+    off it gets one first-solution search for an automorphism sending g_d
+    to c.  A found one joins the moves; when none exists, c and its closure
+    under the moves are off the orbit, since the orbit is closed under
+    Stab_d.  All searches share one "automorphism search" budget and one
+    search domain, so its schedules are built once.
     """
     n = G.order
     dtype = np.int16 if n < 2**15 else np.int32
     dom = G.hom_domain()
     gens = dom.gens
     budget = _Budget(DEFAULT_SEARCH_BUDGET, "automorphism search")
-    fixed = {g: [g] for g in gens[:-1]}
-    stab = np.array(list(iter_hom_images(dom, G, fixed, budget=budget, injective=True)), dtype=dtype)
-    moves = [(row, row.tolist()) for row in stab]  # (array, list) pairs, each in Stab_d
+    fixed = {g: [g] for g in gens}
+    if next(iter_hom_images(dom, G, fixed, budget=budget, injective=True), None) != tuple(range(n)):
+        raise TableInvalid("automorphism search did not return the identity first")
+    identity = np.arange(n, dtype=dtype)
+    stab = identity[None]
+    moves = []  # (array, images) pairs, each in Stab_d
     t, inverses, orders = G.table, G.inverses, G.element_orders
-    for d in range(len(gens) - 2, -1, -1):
+    for d in range(len(gens) - 1, -1, -1):
         g = gens[d]
         if d == 0:
             for h in gens:
                 inner = [t[t[h][x]][inverses[h]] for x in range(n)]
                 moves.append((np.array(inner, dtype=dtype), inner))
-        reps = {g: np.arange(n, dtype=dtype)}
-        _close_orbit(reps, moves)
-        fixed = {x: [x] for x in gens[:d]}
+        reps = {g: identity}
+        off = {}  # points known to be off the orbit
+        _close_orbit(reps, moves, [g])
+        del fixed[g]
         for c in range(n):
-            if c in reps or orders[c] != orders[g]:
+            if c in reps or c in off or orders[c] != orders[g]:
                 continue
-            fixed[g] = [c]
-            img = next(iter_hom_images(dom, G, fixed, budget=budget, injective=True), None)
-            if img is not None:
+            img = next(iter_hom_images(dom, G, {**fixed, g: [c]}, budget=budget, injective=True), None)
+            if img is None:
+                off[c] = None
+                _close_orbit(off, moves, [c])
+            else:
                 reps[c] = np.array(img, dtype=dtype)
-                moves.append((reps[c], list(img)))
-                _close_orbit(reps, moves)
-        cosets = np.empty((len(reps), *stab.shape), dtype=dtype)
-        for coset, rep in zip(cosets, reps.values()):
-            np.take(rep, stab, out=coset)
-        stab = cosets.reshape(-1, n)
+                moves.append((reps[c], img))
+                _close_orbit(reps, moves, list(reps))
+        stab = np.take(np.array(list(reps.values())), stab, axis=1).reshape(-1, n)
     return stab
 
 
-def _close_orbit(reps: dict, moves: list) -> None:
-    """Close the orbit `reps` under the (array, list) automorphisms `moves`, in place.
+def _close_orbit(points: dict, moves: list, todo: list) -> None:
+    """Add the images of the points `todo` under the (array, images) automorphisms `moves` to `points`.
 
-    `reps` maps each orbit point to an automorphism sending the base point
-    there; a point y = m(x) reached first from x gets m . rep_x, one gather.
+    `points` maps an orbit point to an automorphism sending the base point
+    there, or a point off the orbit to None.  A point y = m(x) reached first
+    from x gets m . points[x], one gather, or None; `todo` grows as points
+    are reached, and moves map the orbit and its complement to themselves.
     """
-    orbit = list(reps)
-    for x in orbit:
+    for x in todo:
+        rep = points[x]
         for row, images in moves:
             y = images[x]
-            if y not in reps:
-                reps[y] = row[reps[x]]
-                orbit.append(y)
+            if y not in points:
+                points[y] = None if rep is None else row[rep]
+                todo.append(y)
 
 
 def conjugation_morphism(G: FiniteGroup) -> GroupHom:

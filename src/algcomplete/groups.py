@@ -8,7 +8,6 @@ are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -839,44 +838,66 @@ def group_from_permutations(
 ) -> FiniteGroup:
     """Closure of permutation generators under composition.
 
-    Each generator is read by `int_table` and must be a permutation of
-    range(degree).  Elements are indexed in discovery order with the
-    identity first; a closure over DEFAULT_ELEMENT_CAP elements raises
-    ClosureTooLarge.  The breadth-first closure records x * g for every
-    element x and generator g; the table is then built a column at a time
-    from a * (x * g) = (a * x) * g, one list lookup per entry instead of one
-    permutation composition.
+    A negative `degree` raises ConfigInvalid.  Each generator is read by
+    `int_table` and must be a permutation of range(degree); without
+    generators the group is trivial whatever the degree.  Elements are
+    indexed in discovery order with the identity first; a closure over
+    DEFAULT_ELEMENT_CAP elements raises ClosureTooLarge.
+
+    The closure runs one breadth-first layer at a time: one gather
+    `frontier[:, gens]` composes every frontier element x with every
+    generator g, rows in (x, g) order, and each row is looked up by its
+    bytes, in the smallest unsigned dtype that holds degree - 1.  The
+    table is then filled a layer of columns at a time from
+    a * (x * g) = (a * x) * g, one gather per layer on right[x, pos], the
+    index of x * gens[pos].
     """
-    ident = tuple(range(degree))
+    if degree < 0:
+        raise ConfigInvalid(f"degree must be >= 0, not {degree}")
     gens = []
     for g in generators:
         p = int_table(g, ndim=1)
         in_range = p.shape == (degree,) and not ((p < 0) | (p >= degree)).any()
         if not in_range or _non_permutations(p[None])[0]:
             raise TableInvalid("generator is not a permutation", tuple(p.tolist()))
-        gens.append(tuple(p.tolist()))
-    index = {ident: 0}
-    queue = deque([ident])
-    right = [[] for _ in gens]  # right[pos][x] = x * gens[pos]
-    parents = []  # (x, pos) with y = x * gens[pos], for each y after the identity
-    while queue:
-        x = queue.popleft()
-        ix = index[x]
-        for pos, g in enumerate(gens):
-            y = tuple(x[g[i]] for i in range(degree))  # x after g
-            iy = index.get(y)
+        gens.append(p)
+    if not gens:
+        return FiniteGroup(((0,),), name)
+    k = len(gens)
+    dtype = np.min_scalar_type(max(degree - 1, 0))
+    gens = np.stack(gens).astype(dtype)
+    frontier = np.arange(degree, dtype=dtype)[None]
+    width = frontier.nbytes
+    index = {frontier.tobytes(): 0}
+    right = []  # one (layer size, k) array per layer: right[x, pos] = index of x * gens[pos]
+    layers = []  # (xs, pos, ys) per layer: the slice ys of elements are xs * gens[pos]
+    while len(frontier):
+        start = len(index)
+        products = frontier[:, gens].reshape(len(frontier) * k, degree)  # row (x, pos) is x after gens[pos]
+        keys = products.tobytes()
+        ids, fresh = [], []
+        for r in range(len(products)):
+            key = keys[r * width:(r + 1) * width]
+            iy = index.get(key)
             if iy is None:
                 if len(index) >= DEFAULT_ELEMENT_CAP:
                     raise ClosureTooLarge(f"closure exceeds element cap {DEFAULT_ELEMENT_CAP}")
-                iy = index[y] = len(index)
-                parents.append((ix, pos))
-                queue.append(y)
-            right[pos].append(iy)
-    # column y = x * g of the table: a * y = (a * x) * g, one lookup per entry
-    cols = [list(index.values())]
-    for x, pos in parents:
-        cols.append(list(map(right[pos].__getitem__, cols[x])))
-    return FiniteGroup(tuple(zip(*cols)), name)
+                iy = index[key] = len(index)
+                fresh.append(r)
+            ids.append(iy)
+        right.append(np.array(ids).reshape(-1, k))
+        fresh = np.array(fresh, dtype=np.intp)
+        layers.append((start - len(frontier) + fresh // k, fresh % k, slice(start, len(index))))
+        frontier = products[fresh]
+    right = np.concatenate(right)
+    n = len(index)
+    t = np.empty((n, n), dtype=np.int64)
+    t[:, 0] = np.arange(n)
+    for xs, pos, ys in layers:
+        t[:, ys] = right[t[:, xs], pos]
+    G = FiniteGroup(_label_rows(t), name)
+    G.__dict__["np_table"] = t
+    return G
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, name: Optional[str] = None):

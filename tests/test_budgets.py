@@ -25,10 +25,11 @@ from algcomplete.groups import (
     direct_product,
     enumerate_homs,
     find_constrained_hom,
+    group_from_permutations,
     is_isomorphic,
     iter_hom_images,
 )
-from conftest import public_callables
+from conftest import holomorph_generators, public_callables
 
 # The entry points through which the CLI or the library passes a caller's node budget.
 BUDGETED = {
@@ -122,6 +123,13 @@ def test_automorphism_search_spends_few_nodes(monkeypatch):
     Z2_4 = direct_product(V4, V4)[0]
     assert automorphism_nodes(monkeypatch, dihedral(99)) <= 200  # 5940 automorphisms
     assert automorphism_nodes(monkeypatch, Z2_4) <= 400  # 20160 automorphisms
+
+
+def test_automorphism_search_skips_the_orbits_of_failed_points(monkeypatch):
+    """A failed candidate's closure under the known moves is off the orbit and is not searched."""
+    hol = {p: group_from_permutations(p, holomorph_generators(p)) for p in (17, 23)}
+    assert automorphism_nodes(monkeypatch, hol[23]) <= 40  # 506 automorphisms
+    assert automorphism_nodes(monkeypatch, hol[17]) <= 30  # 272 automorphisms
 
 
 def test_every_search_takes_a_labelled_budget():

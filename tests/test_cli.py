@@ -252,6 +252,22 @@ def test_malformed_recipe_names_the_entry(tmp_path, capsys, recipe, detail):
     assert err.startswith(f"error: catalog entry 'K': {detail}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--catalog", "--universe"])
+def test_negative_degree_is_config_error(tmp_path, capsys, flag):
+    path = write_catalog(tmp_path, [{"name": "K", "permutations": {"degree": -1, "generators": []}}])
+    assert run_report([flag, path, "--mode", "classify"]) == 2
+    assert capsys.readouterr().err == "error: catalog entry 'K': degree must be >= 0, not -1\n"
+
+
+@pytest.mark.parametrize("flag", ["--catalog", "--universe"])
+def test_huge_degree_without_generators_is_the_trivial_group(tmp_path, capsys, flag):
+    path = write_catalog(tmp_path, [{"name": "K", "permutations": {"degree": 10**30, "generators": []}}])
+    assert run_report([flag, path, "--mode", "classify"]) == 0
+    assert capsys.readouterr().err == ""
+    assert resolve_catalog([{"name": "K", "permutations": {"degree": 10**30, "generators": []}}])[
+        0].order == 1
+
+
 def test_invalid_action_is_rejected_under_python_O(tmp_path):
     path = write_catalog(tmp_path, [Z3, semidirect([0, 1, 1])])
     proc = subprocess.run(

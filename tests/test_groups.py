@@ -660,6 +660,62 @@ def test_large_permutation_closures_match_reference(degree, gens):
     )
 
 
+def _cycle_on_top_points(degree):
+    """Generators moving the highest points of range(degree): a transposition and a 3-cycle."""
+    swap, turn = list(range(degree)), list(range(degree))
+    swap[-2], swap[-1] = swap[-1], swap[-2]
+    turn[0], turn[-3], turn[-1] = degree - 3, degree - 1, 0
+    return [swap, turn]
+
+
+@pytest.mark.parametrize(
+    "degree, gens",
+    [
+        (0, []),
+        (0, [[]]),
+        (5, []),
+        (4, [[0, 1, 2, 3], [0, 1, 2, 3]]),
+        (255, _cycle_on_top_points(255)),
+        (256, _cycle_on_top_points(256)),
+        (257, _cycle_on_top_points(257)),
+        (258, [[(x + 1) % 256 for x in range(256)] + [256, 257], list(range(256)) + [257, 256]]),
+    ],
+    ids=["degree-0", "degree-0-identity", "no-generators", "identity-generators",
+         "degree-255", "degree-256", "degree-257", "order-512"],
+)
+def test_closure_edges_match_reference(degree, gens):
+    # 256 points still fit the uint8 keys, 257 need uint16; Z256 x Z2 fills the cap exactly
+    assert group_from_permutations(degree, gens).table == reference_group_from_permutations(
+        degree, gens
+    )
+
+
+def test_closure_over_the_cap_raises_like_the_reference():
+    gens = [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]  # S6, 720 elements
+    with pytest.raises(ClosureTooLarge) as want:
+        reference_group_from_permutations(6, gens)
+    with pytest.raises(ClosureTooLarge) as got:
+        group_from_permutations(6, gens)
+    assert str(got.value) == str(want.value) == "closure exceeds element cap 512"
+
+
+def test_negative_degree_is_rejected():
+    for source in ({"permutations": {"degree": -1, "generators": []}},
+                   {"permutations": {"degree": "-3", "generators": [[0]]}}):
+        with pytest.raises(ConfigInvalid, match=r"^degree must be >= 0, not -\d$"):
+            load_group(source)
+    with pytest.raises(ConfigInvalid, match=r"^degree must be >= 0, not -1$"):
+        group_from_permutations(-1, [])
+
+
+def test_no_generators_give_the_trivial_group_at_any_degree():
+    # the identity of range(10**30) is never built
+    assert group_from_permutations(10**30, []).table == ((0,),)
+    assert load_group({"permutations": {"degree": 10**30, "generators": []}}).table == ((0,),)
+    with pytest.raises(TableInvalid, match="^generator is not a permutation"):
+        group_from_permutations(10**30, [[0]])
+
+
 def test_permutation_table_shares_its_int_objects(Hol17):
     # one int object per element label, not one per table entry
     assert len({id(v) for row in Hol17.table for v in row}) <= 2 * Hol17.order
