@@ -233,6 +233,13 @@ def _label_rows(t: np.ndarray) -> tuple[tuple[int, ...], ...]:
                  for row in labels[t[start:start + 64]].tolist())
 
 
+def _group(t: np.ndarray, name: Optional[str] = None) -> "FiniteGroup":
+    """The group on the int64 Cayley table `t`, kept as its `np_table`; no law is checked."""
+    G = FiniteGroup(_label_rows(t), name)
+    G.__dict__["np_table"] = t
+    return G
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite group given by its full Cayley table, identity at index 0."""
@@ -246,10 +253,7 @@ class FiniteGroup:
     @staticmethod
     def from_table(table, name: Optional[str] = None) -> "FiniteGroup":
         """A group on `table`, read and checked by `validate_table` and kept as `np_table`."""
-        t = validate_table(table)
-        G = FiniteGroup(_label_rows(t), name)
-        G.__dict__["np_table"] = t
-        return G
+        return _group(validate_table(table), name)
 
     @staticmethod
     def from_array(t: np.ndarray, name: Optional[str] = None) -> "FiniteGroup":
@@ -264,8 +268,7 @@ class FiniteGroup:
         missing = np.flatnonzero(~is_id[np.arange(len(t)), inv])
         if missing.size:
             raise TableInvalid("row has no inverse", (int(missing[0]),))
-        G = FiniteGroup(_label_rows(t), name)
-        G.__dict__["np_table"] = t
+        G = _group(t, name)
         G.__dict__["inverses"] = tuple(inv.tolist())
         return G
 
@@ -438,13 +441,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self._element_set
-
-    @cached_property
-    def _element_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
 
     def is_normal(self) -> bool:
         G = self.parent
@@ -895,9 +891,7 @@ def group_from_permutations(
     t[:, 0] = np.arange(n)
     for xs, pos, ys in layers:
         t[:, ys] = right[t[:, xs], pos]
-    G = FiniteGroup(_label_rows(t), name)
-    G.__dict__["np_table"] = t
-    return G
+    return _group(t, name)
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, name: Optional[str] = None):

@@ -125,8 +125,7 @@ class LieAlgebra:
         d = c.shape[0]
         if c.shape != (d, d, d):
             raise TableInvalid("structure constants must be a d*d*d cube")
-        if d * d * (int(p) - 1) ** 3 > np.iinfo(np.int64).max:
-            raise TableInvalid("characteristic too large for int64 brackets", (p,))
+        L = _lie(p, c, name)  # the int64 bound on p, before the laws compute in int64
         if d:
             if not np.array_equal(c, (-c.transpose(1, 0, 2)) % p):
                 raise TableInvalid("bracket is not antisymmetric")
@@ -138,8 +137,6 @@ class LieAlgebra:
             if np.any(jac):
                 bad = np.argwhere(jac)[0]
                 raise TableInvalid("Jacobi identity fails", tuple(int(v) for v in bad))
-        L = LieAlgebra(p, d, tuple(tuple(map(tuple, plane)) for plane in c.tolist()), name)
-        L.__dict__["_c"] = c
         return L
 
     @cached_property
@@ -152,6 +149,19 @@ class LieAlgebra:
     def ad_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix of [x, -] acting on coordinate columns: M[k][j] = sum_i x_i c[i][j][k]."""
         return np.einsum("i,ijk->kj", x % self.p, self._c) % self.p
+
+
+def _lie(p: int, c: np.ndarray, name: Optional[str] = None) -> LieAlgebra:
+    """The algebra on the reduced int64 constants c, kept as `_c`; no Lie law is checked.
+
+    The int64 bound on p depends on the dimension, and Der(L) can be larger than L.
+    """
+    d = c.shape[0]
+    if d * d * (int(p) - 1) ** 3 > np.iinfo(np.int64).max:
+        raise TableInvalid("characteristic too large for int64 brackets", (p,))
+    L = LieAlgebra(p, d, tuple(tuple(map(tuple, plane)) for plane in c.tolist()), name)
+    L.__dict__["_c"] = c
+    return L
 
 
 def abelian_lie(dim: int, p: int) -> LieAlgebra:
@@ -227,12 +237,14 @@ def lie_derivations(L: LieAlgebra) -> DerivationData:
     Unknowns are D[r][s] (row-major); one equation per (i, j, k): the
     k-coordinate of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j] vanishes.
     `_leibniz_system` keeps only the equations with i < j that are not
-    all zero, which have the same null space.
+    all zero, which have the same null space.  Der's constants are
+    antisymmetric by construction and satisfy Jacobi as the commutator of
+    matrices, so `_lie` builds Der without the intake's laws.
     """
     p, d = L.p, L.dim
+    name = f"Der({L.name})" if L.name else None
     if d == 0:
-        der = LieAlgebra.create(p, np.zeros((0, 0, 0), dtype=np.int64),
-                                f"Der({L.name})" if L.name else None)
+        der = _lie(p, np.zeros((0, 0, 0), dtype=np.int64), name)
         return DerivationData(L, (), der, np.zeros((0, 0), dtype=np.int64))
     c = L._c
     ns = nullspace(_leibniz_system(c, p), p)  # (d*d, m); columns are the basis, already independent
@@ -246,7 +258,7 @@ def lie_derivations(L: LieAlgebra) -> DerivationData:
     sc = np.zeros((m, m, m), dtype=np.int64)
     sc[iu, ju] = coords.T
     sc[ju, iu] = (-coords.T) % p
-    der = LieAlgebra.create(p, sc, f"Der({L.name})" if L.name else None)
+    der = _lie(p, sc, name)
     ad_columns = c.transpose(0, 2, 1).reshape(d, d * d).T % p  # column i: ad(e_i), row-major
     ad_coords = solve_linear(ns, ad_columns, p)
     check_theorem(ad_coords is not None, _label(L), "the inner derivations lie in Der")

@@ -70,10 +70,7 @@ class FiniteRing:
             if bad is not None:
                 raise TableInvalid("multiplication not associative", bad)
             raise TableInvalid("right distributivity fails" if left else "left distributivity fails")
-        R = FiniteRing(tuple(map(tuple, A.tolist())), tuple(map(tuple, M.tolist())), name)
-        R.__dict__["np_add"] = A
-        R.__dict__["np_mul"] = M
-        return R
+        return _ring(A, M, name)
 
     @cached_property
     def np_add(self) -> np.ndarray:
@@ -122,6 +119,14 @@ class FiniteRing:
         return None
 
 
+def _ring(A: np.ndarray, M: np.ndarray, name: Optional[str] = None) -> FiniteRing:
+    """The ring on the int64 tables A and M, kept as `np_add` and `np_mul`; no law is checked."""
+    R = FiniteRing(tuple(map(tuple, A.tolist())), tuple(map(tuple, M.tolist())), name)
+    R.__dict__["np_add"] = A
+    R.__dict__["np_mul"] = M
+    return R
+
+
 def ring_zn(n: int) -> FiniteRing:
     add = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     mul = tuple(tuple((i * j) % n for j in range(n)) for i in range(n))
@@ -139,7 +144,8 @@ def subring(R: FiniteRing, elements) -> FiniteRing:
     """The ring on a subset closed under + and *, relabeled with 0 first.
 
     Every entry must be an integer (not a bool) in range(R.order), and 0
-    must be among them: TableInvalid otherwise.
+    must be among them: TableInvalid otherwise.  The ring laws are R's, so
+    `_ring` builds the subring without checking them.
     """
     elements = list(elements)
     for e in elements:
@@ -153,9 +159,9 @@ def subring(R: FiniteRing, elements) -> FiniteRing:
         for b in elems:
             if R.add(a, b) not in local or R.mul(a, b) not in local:
                 raise TableInvalid("subset is not closed", (a, b))
-    add = tuple(tuple(local[R.add(a, b)] for b in elems) for a in elems)
-    mul = tuple(tuple(local[R.mul(a, b)] for b in elems) for a in elems)
-    return FiniteRing.create(add, mul)
+    add = [[local[R.add(a, b)] for b in elems] for a in elems]
+    mul = [[local[R.mul(a, b)] for b in elems] for a in elems]
+    return _ring(np.array(add, dtype=np.int64), np.array(mul, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -181,7 +187,10 @@ def _multiples(R: FiniteRing, m: int) -> np.ndarray:
 
 
 def unitalization(R: FiniteRing) -> Unitalization:
-    """Both tables of Z_m x R at once, from R's tables and its multiples a.r."""
+    """Both tables of Z_m x R at once, from R's tables and its multiples a.r.
+
+    U's ring laws follow from R's, so `_ring` builds U without checking them.
+    """
     m = R.additive_exponent
     n = R.order
     A, M, K = R.np_add, R.np_mul, _multiples(R, m)
@@ -190,9 +199,8 @@ def unitalization(R: FiniteRing) -> Unitalization:
     at = ((a1 + a2) % m) * n + A[r1, r2]
     # (a,r)(b,s) = (ab, a.s + b.r + rs)
     mt = ((a1 * a2) % m) * n + A[A[K[a1, r2], K[a2, r1]], M[r1, r2]]
-    at.flags.writeable = mt.flags.writeable = False  # so `create` keeps them without a copy
     name = f"Z{m}|x{R.name}" if R.name else None
-    return Unitalization(R, m, FiniteRing.create(at, mt, name))
+    return Unitalization(R, m, _ring(at, mt, name))
 
 
 def _ring_retractions(u: Unitalization) -> list[tuple[int, ...]]:

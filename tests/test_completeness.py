@@ -15,7 +15,14 @@ from algcomplete.errors import (
     SearchBudgetExceeded,
     SizeCap,
 )
-from algcomplete.extensions import iter_action_orbits, iter_actions, semidirect_product
+from algcomplete.extensions import (
+    SplitExtension,
+    enumerate_split_extensions,
+    iter_action_orbits,
+    iter_actions,
+    semidirect_columns,
+    semidirect_product,
+)
 from algcomplete.groups import (
     DEFAULT_SEARCH_BUDGET,
     FiniteGroup,
@@ -37,6 +44,8 @@ from algcomplete.completeness import (
     oracle_completeness,
     split_extension_oracles,
 )
+from algcomplete.lie import LieAlgebra, LieReport, abelian_lie, lie_classify, sl2
+from algcomplete.rings import FiniteRing, RingReport, ring_classify, ring_zn, subring
 from conftest import holomorph_generators, relabel
 
 
@@ -313,6 +322,39 @@ def test_pass_builds_no_group(monkeypatch, Z4):
     monkeypatch.setattr(FiniteGroup, "from_array", staticmethod(refuse))
     proto, strong = split_extension_oracles(Z4, 8, small_universe(), "small")
     assert not proto.flag and proto.action is not None and strong.action is not None
+
+
+def test_own_constructions_skip_the_intakes(monkeypatch, Z2, Z3, Z4, S3):
+    """Objects derived from checked ones are built without their kind's intake check."""
+    ring12, ring8, sl2_5, ab4 = ring_zn(12), ring_zn(8), sl2(5), abelian_lie(4, 2)
+    actions = list(iter_actions(Z4, S3))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an own construction went through an intake")
+
+    monkeypatch.setattr(SplitExtension, "create", staticmethod(refuse))
+    monkeypatch.setattr(FiniteRing, "create", staticmethod(refuse))
+    monkeypatch.setattr(LieAlgebra, "create", staticmethod(refuse))
+    exts = enumerate_split_extensions(Z3, Z2)
+    assert [e.A.name for e in exts] == ["Z3xZ2", "Z3:Z2"]
+    assert exts[1].A.table == ((0, 1, 2, 3, 4, 5), (1, 2, 0, 5, 3, 4), (2, 0, 1, 4, 5, 3),
+                               (3, 4, 5, 0, 1, 2), (4, 5, 3, 2, 0, 1), (5, 3, 4, 1, 2, 0))
+    assert len(actions) == 4  # the trivial action and one per involution of Aut(S3) = S3
+    for a in actions:
+        dom = semidirect_columns(a)
+        assert dom.columns == semidirect_product(a).A.hom_domain(dom.gens).columns
+    assert ring_classify(ring12) == RingReport(
+        name="Z/12", order=12, has_unit=True, unit=1, proto_complete=True, complete=True,
+        strong_complete=True, unitalization_splits=True, unitalization_order=144)
+    S = subring(ring8, [0, 2, 4, 6])
+    assert S.add_table == ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2))
+    assert S.mul_table == ((0, 0, 0, 0), (0, 2, 0, 2), (0, 0, 0, 0), (0, 2, 0, 2))
+    assert lie_classify(sl2_5) == LieReport(
+        name="sl2(F5)", p=5, dim=3, center_dim=0, der_dim=3, is_perfect=True,
+        proto_complete=True, strong_complete=True, section=((0, 0, 1), (0, 4, 0), (2, 0, 0)))
+    assert lie_classify(ab4) == LieReport(
+        name="abelian4(F2)", p=2, dim=4, center_dim=4, der_dim=16, is_perfect=False,
+        proto_complete=False, strong_complete=False, section=None)
 
 
 def test_audit_builds_the_middle_group_under_the_cap(Z4):

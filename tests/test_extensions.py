@@ -59,6 +59,57 @@ def test_create_still_rejects_a_non_section(Z3, Z2):
         SplitExtension.create(e.kappa, e.alpha, not_section, e.action)
 
 
+def test_create_names_each_broken_invariant(Z2, Z3, S3):
+    one = cyclic(1)
+    e = enumerate_split_extensions(Z3, Z2)[1]
+    t = next(x for x in range(S3.order) if S3.element_order(x) == 2)
+    s = next(x for x in range(1, S3.order) if x != t)
+    # {0, t} is the fibre over 0 of a map S3 -> Z2 that is no hom, so it need not be normal
+    fibre = GroupHom(S3, Z2, tuple(int(x not in (0, t)) for x in range(S3.order)))
+    cases = [
+        ("kappa, alpha and beta do not compose", e.kappa, e.alpha, GroupHom(Z2, Z2, (0, 1))),
+        ("kappa is not mono", GroupHom(Z2, one, (0, 0)), GroupHom.identity(one),
+         GroupHom.identity(one)),
+        ("im(kappa) != ker(alpha)", GroupHom(one, Z2, (0,)), GroupHom(Z2, one, (0, 0)),
+         GroupHom(one, Z2, (0,))),
+        ("im(kappa) is not normal", GroupHom(Z2, S3, (0, t)), fibre, GroupHom(Z2, S3, (0, s))),
+    ]
+    for reason, kappa, alpha, beta in cases:
+        with pytest.raises(TableInvalid) as err:
+            SplitExtension.create(kappa, alpha, beta)
+        assert str(err.value) == err.value.reason == reason
+
+
+def split_invariant_faults(dom, a):
+    """The split-extension checks on the columns of `semidirect_columns(a)`, as it once ran them.
+
+    Returns the reasons that fail, in the order they were checked: beta is
+    a section, kappa is injective, im(kappa) = ker(alpha), and N g = g N for
+    N = im(kappa) and every generator g.
+    """
+    nb, m = a.B.order, a.X.order
+    n = nb * m
+    alpha = np.arange(n) // m
+    kappa = np.arange(m)
+    beta = np.arange(nb) * m
+    image = np.zeros(n, dtype=bool)
+    image[kappa] = True
+    faults = []
+    if not np.array_equal(alpha[beta], np.arange(nb)):
+        faults.append("beta is not a section")
+    if np.count_nonzero(image) != m:
+        faults.append("kappa is not mono")
+    if not np.array_equal(image, alpha == 0):
+        faults.append("im(kappa) != ker(alpha)")
+    for g, col in zip(dom.gens, dom.columns):
+        coset = np.zeros(n, dtype=bool)
+        coset[np.asarray(col)[kappa]] = True  # N g
+        # g N is the fibre of alpha over alpha(g), since a(1) is the identity
+        if not np.array_equal(coset, alpha == alpha[g]):
+            faults.append(("im(kappa) is not normal", g))
+    return faults
+
+
 @pytest.mark.parametrize("X, B", [(cyclic(3), cyclic(2)), (dihedral(2), cyclic(3)),
                                   (cyclic(7), cyclic(6)), (symmetric(3), cyclic(4)),
                                   (dicyclic(2), dihedral(2)), (cyclic(1), cyclic(3))],
@@ -67,7 +118,9 @@ def test_columns_match_the_semidirect_table(X, B):
     levels = X.hom_domain().schedules
     for a in iter_actions(B, X):
         e = semidirect_product(a)
+        assert SplitExtension.create(e.kappa, e.alpha, e.beta, a) == e
         dom = semidirect_columns(a)
+        assert split_invariant_faults(dom, a) == []
         gens = [e.kappa(x) for x in X.generators] + [e.beta(b) for b in B.generators]
         assert dom.order == e.A.order and dom.gens == tuple(gens)
         assert dom.columns == e.A.hom_domain(gens).columns

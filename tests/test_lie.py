@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,27 @@ def test_create_rejects_a_characteristic_that_overflows_int64(p):
     assert (err.value.reason, err.value.witness) == ("characteristic too large for int64 brackets", (p,))
 
 
+def sl2_on_its_plane(p):
+    """sl2 acting on F_p^2, its standard module: perfect and centerless, and scaling F_p^2 is outer."""
+    c = np.zeros((5, 5, 5), dtype=np.int64)
+    for i, j, k, v in [(0, 1, 2, 1), (2, 0, 0, 2), (2, 1, 1, -2),  # e, f, h as in sl2
+                       (0, 4, 3, 1), (1, 3, 4, 1), (2, 3, 3, 1), (2, 4, 4, -1)]:  # on v1, v2
+        c[i, j, k], c[j, i, k] = v, -v
+    return LieAlgebra.create(p, c, f"sl2+V2(F{p})")
+
+
+def test_der_keeps_the_int64_bound_of_its_own_dimension():
+    """Der of sl2 + V2 has dimension 6, so a p that d = 5 allows can still overflow Der's brackets."""
+    rep = lie_classify(sl2_on_its_plane(5))
+    assert (rep.center_dim, rep.der_dim, rep.is_perfect) == (0, 6, True)
+    p = 700001
+    assert 25 * (p - 1) ** 3 <= INT64_MAX < 36 * (p - 1) ** 3
+    L = sl2_on_its_plane(p)
+    with pytest.raises(TableInvalid) as err:
+        lie_classify(L)
+    assert (err.value.reason, err.value.witness) == ("characteristic too large for int64 brackets", (p,))
+
+
 @pytest.mark.parametrize("p", [65521, 1008199], ids=repr)
 def test_sl2_classifies_up_to_the_largest_prime_int64_holds(p):
     """1008199 is the largest prime p with 9 (p-1)^3 in int64, and the next one (1008209) is refused."""
@@ -148,6 +170,19 @@ def test_abelian_sweep_never_proto():
             assert not rep.proto_complete and not rep.strong_complete
             assert rep.center_dim == d
             assert rep.der_dim == d * d  # all of gl(d)
+
+
+def test_classifying_abelian6_builds_no_jacobi_tensor_of_der():
+    """Der(abelian6) is gl(6), of dimension 36: a Jacobi tensor of it is 36^4 int64, 12.8 MiB."""
+    L = abelian_lie(6, 2)
+    tracemalloc.start()
+    try:
+        rep = lie_classify(L)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.der_dim == 36
+    assert peak < 4 * 2**20
 
 
 def test_zero_algebra_strong_complete():
@@ -444,6 +479,8 @@ def test_derivation_data_matches_the_reference(L):
     assert data.basis == basis
     assert np.array_equal(data.der._c, sc)
     assert np.array_equal(data.ad_coords, ad_coords)
+    # Der is built without the intake's check of the Lie laws, which it passes
+    assert LieAlgebra.create(L.p, data.der._c).sc == data.der.sc
     # the search returns the first section of the reference's enumeration order
     section = _bracket_respecting_section(L, data)
     reference = reference_sections(L, data, L.p ** SECTION_EXPONENT_CAP)

@@ -328,6 +328,10 @@ def test_unitalization_and_retractions_match_the_reference(R):
     assert u.U.add_table == ref.U.add_table
     assert u.U.mul_table == ref.U.mul_table
     assert _ring_retractions(u) == reference_retractions(ref)
+    # U, and R when it is a subring, are built by `_ring` unchecked; `create` accepts both
+    for built in (u.U, R):
+        checked = FiniteRing.create(built.np_add, built.np_mul)
+        assert (checked.add_table, checked.mul_table) == (built.add_table, built.mul_table)
 
 
 def relabel_ring(R, new):
